@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test race chaos lint vet bench bench-json bench-serve-json bench-dynamic-json bench-async-json bench-stepping-json experiments fuzz clean
+.PHONY: all build test race chaos lint vet perf-counts bench bench-json bench-serve-json bench-dynamic-json bench-async-json bench-stepping-json experiments fuzz clean
 
 all: build test lint
 
@@ -32,6 +32,17 @@ vet:
 # one-way ratchet for pre-existing findings, and stale suppressions fail.
 lint: vet
 	go run ./cmd/parssspvet -baseline lint.baseline.json -audit-allows ./...
+
+# The benchmark's exact per-layer counts (relaxations, phases, epochs,
+# collective calls, records) on its two collective-bound workloads, once
+# through the tracing transport and once bare. The counts depend on the
+# seed and the code only; the harness exits non-zero when the traced and
+# bare replays disagree, a pass differs from the one before, or an answer
+# is wrong — so a stray collective or a path the wrapper changes fails
+# here, on any hardware. See perf/README.md "Per-layer metrics".
+perf-counts:
+	bash perf/run.sh --workload grid-lib --seed 1 --seconds 4 --trace 1
+	bash perf/run.sh --workload small-burst --seed 1 --seconds 4 --trace 1
 
 bench:
 	go test -bench=. -benchmem .

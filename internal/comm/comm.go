@@ -91,7 +91,11 @@ type Transport interface {
 	// The returned buffers are owned by the caller until the next call.
 	Exchange(out [][]byte) (in [][]byte, err error)
 	// AllreduceInt64 reduces vals elementwise across all ranks with op and
-	// returns the result (same on every rank).
+	// returns the result (same on every rank). The result is owned by the
+	// endpoint and valid only until this endpoint's next collective call
+	// (implementations reuse it so that the call allocates nothing);
+	// callers that need it longer copy it out. vals must not alias a
+	// result an earlier call returned.
 	AllreduceInt64(vals []int64, op ReduceOp) ([]int64, error)
 	// Barrier blocks until every rank has entered it.
 	Barrier() error

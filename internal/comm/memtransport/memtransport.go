@@ -113,6 +113,7 @@ type endpoint struct {
 	g       *Group
 	rank    int
 	in      [][]byte   // reused result slice
+	res     []int64    // reused Allreduce result (see comm.Transport for the ownership rule)
 	arena   [][]byte   // reused copies of received buffers
 	wrap    [][][]byte // reused single-segment wrapping of an Exchange row
 	wrapSeg [][1][]byte
@@ -188,12 +189,14 @@ func (e *endpoint) AllreduceInt64(vals []int64, op comm.ReduceOp) ([]int64, erro
 	if err := g.bar.wait(); err != nil {
 		return nil, err
 	}
-	// The result is freshly allocated: callers may hold results from
-	// several collectives at once (e.g. a Sum and a Max side by side), so
-	// a reused buffer would silently alias them.
-	res := make([]int64, len(vals))
-	copy(res, g.reduce[0])
-	for r := 1; r < g.size; r++ {
+	// Peers read only each other's vals between the two barriers, never
+	// res, so reusing it across calls is safe.
+	res := append(e.res[:0], vals...)
+	e.res = res
+	for r := 0; r < g.size; r++ {
+		if r == e.rank {
+			continue
+		}
 		other := g.reduce[r]
 		if len(other) != len(vals) {
 			return nil, errors.New("memtransport: Allreduce length mismatch across ranks")

@@ -241,24 +241,44 @@ func TestEndpoints(t *testing.T) {
 	}
 }
 
-func TestAllreduceResultsIndependent(t *testing.T) {
-	// Regression for the decision-heuristic aliasing bug: results of two
-	// consecutive reductions must not share storage.
+func TestAllreduceResultOwnership(t *testing.T) {
+	// The comm.Transport ownership rule: a result is the endpoint's and
+	// lives until that endpoint's next collective, so a caller that wants
+	// two results side by side (the old decision heuristic's Sum and Max)
+	// copies the first out. The reuse must never leak one call's values
+	// into the next call's result, whatever the ops and lengths.
 	runRanks(t, 2, func(tr comm.Transport) error {
 		me := int64(tr.Rank())
-		sums, err := tr.AllreduceInt64([]int64{me + 1}, comm.Sum)
+		sums, err := tr.AllreduceInt64([]int64{me + 1, 7}, comm.Sum)
 		if err != nil {
 			return err
 		}
-		sumBefore := sums[0]
-		if _, err := tr.AllreduceInt64([]int64{me * 100}, comm.Max); err != nil {
+		kept := append([]int64(nil), sums...)
+		maxes, err := tr.AllreduceInt64([]int64{me * 100}, comm.Max)
+		if err != nil {
 			return err
 		}
-		if sums[0] != sumBefore {
-			return fmt.Errorf("earlier Allreduce result mutated: %d -> %d", sumBefore, sums[0])
+		if len(maxes) != 1 || maxes[0] != 100 {
+			return fmt.Errorf("second Allreduce = %v, want [100]", maxes)
+		}
+		if kept[0] != 3 || kept[1] != 14 {
+			return fmt.Errorf("copied-out result = %v, want [3 14]", kept)
 		}
 		return nil
 	})
+	// The point of the rule: a warm endpoint's Allreduce allocates nothing.
+	g, err := New(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep, vals := g.Rank(0), []int64{1, 2, 3}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := ep.AllreduceInt64(vals, comm.Sum); err != nil {
+			t.Error(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("warm AllreduceInt64 allocates %.0f times per call, want 0", allocs)
+	}
 }
 
 func TestExchangeVDelivery(t *testing.T) {

@@ -691,6 +691,7 @@ type Channel struct {
 	reducePayload []byte
 	reduceOut     [][][]byte
 	reduceTmp     []int64
+	reduceRes     []int64
 
 	// abortErr is set once (first cause wins) under abortMu; abortCh is
 	// closed alongside it, waking blocked collectives and the read
@@ -1009,9 +1010,8 @@ func (c *Channel) collectSends(limit int) error {
 
 // AllreduceInt64 implements comm.Transport as allgather + local reduce.
 // All scratch (the encoded vector, the shared out row, the per-peer
-// decode buffer) is pooled on the channel; only the result is freshly
-// allocated, because callers may hold results of several collectives at
-// once (see memtransport for the rationale).
+// decode buffer) and the result are pooled on the channel; the result
+// is valid until the channel's next collective (see comm.Transport).
 func (c *Channel) AllreduceInt64(vals []int64, op comm.ReduceOp) ([]int64, error) {
 	payload := c.reducePayload[:0]
 	for _, v := range vals {
@@ -1029,8 +1029,8 @@ func (c *Channel) AllreduceInt64(vals []int64, op comm.ReduceOp) ([]int64, error
 	if err != nil {
 		return nil, err
 	}
-	res := make([]int64, len(vals))
-	copy(res, vals)
+	res := append(c.reduceRes[:0], vals...)
+	c.reduceRes = res
 	if cap(c.reduceTmp) < len(vals) {
 		c.reduceTmp = make([]int64, len(vals))
 	}

@@ -281,3 +281,75 @@ func rankDerivedPolicy(t comm.Transport) error {
 		"p.go:84:10 collectiveorder", // rankDerivedPolicy via radiusDriver
 	})
 }
+
+// TestCollectiveOrderHeaderDerivedExit pins the fused schedule's loop
+// shape (sssp.relaxRounds): the round loop has no Allreduce, and decides
+// to stop from header words every rank prefixed to its Exchange frames.
+// A value reduced from every rank's header — this rank's own words plus
+// each peer's — is the same on every rank, so the exit is uniform and
+// must be accepted without an allow directive. Deciding from this rank's
+// own header alone is the bug the analyzer exists for: ranks whose
+// frontier empties first leave the loop while their peers exchange on.
+func TestCollectiveOrderHeaderDerivedExit(t *testing.T) {
+	src := `package sssp
+
+import (
+	"parsssp/internal/comm"
+)
+
+// Accepted: every rank sums the same set of header words — its own,
+// which never travel, and one per peer frame.
+func headerReducedExit(t comm.Transport, out [][]byte, own uint64) error {
+	for {
+		in, err := t.Exchange(out)
+		if err != nil {
+			return err
+		}
+		active := own
+		for src, frame := range in {
+			if src == t.Rank() {
+				continue
+			}
+			active += uint64(frame[0])
+		}
+		if active == 0 {
+			return nil
+		}
+	}
+}
+
+// Flagged: the exit looks only at the frame this rank sent itself.
+func localFrameExit(t comm.Transport, out [][]byte) error {
+	for {
+		in, err := t.Exchange(out)
+		if err != nil {
+			return err
+		}
+		if in[t.Rank()][0] == 0 {
+			return nil
+		}
+	}
+}
+
+// Flagged: the exit looks only at this rank's own frontier, the count it
+// would have put in its header.
+func localCountExit(t comm.Transport, out [][]byte, frontier [][]uint32) error {
+	for {
+		if len(frontier[t.Rank()]) == 0 {
+			return nil
+		}
+		if _, err := t.Exchange(out); err != nil {
+			return err
+		}
+	}
+}
+`
+	got := runFixture(t, map[string]string{
+		"internal/comm/comm.go": fixtureComm,
+		"internal/sssp/h.go":    src,
+	}, lint.CollectiveOrder)
+	wantFindings(t, got, []string{
+		"h.go:31:14 collectiveorder", // localFrameExit
+		"h.go:48:16 collectiveorder", // localCountExit
+	})
+}

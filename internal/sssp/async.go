@@ -86,7 +86,7 @@ func (r *queryState) runAsync() error {
 		r.longStore = newBucketStore()
 	}
 	if r.asyncStage == nil {
-		r.asyncStage = make([][]byte, r.size)
+		r.asyncStage = make([][]relaxRec, r.size)
 		r.asyncStageAt = make([]time.Time, r.size)
 	}
 	if r.pd.Owner(r.src) == r.rank {
@@ -174,19 +174,16 @@ func (r *queryState) asyncRound(k int64, long bool) error {
 	}
 	items := r.buildItems(members)
 	r.runWorkers(items, fn)
-	for tid := range r.tbufs {
-		for dest := 0; dest < r.size; dest++ {
-			buf := r.tbufs[tid][dest]
-			if len(buf) == 0 {
+	for tid := range r.stage {
+		for dest, recs := range r.stage[tid].relax {
+			if len(recs) == 0 {
 				continue
 			}
 			if dest == r.rank {
-				if err := r.applyAsyncRelax(r.rank, buf, WireV1); err != nil {
-					return err
-				}
+				r.applyAsyncLocal(recs)
 				continue
 			}
-			if err := r.stageAsync(dest, buf); err != nil {
+			if err := r.stageAsync(dest, recs); err != nil {
 				return err
 			}
 		}
@@ -228,6 +225,7 @@ func (r *queryState) asyncShortRelaxFn() func(tid int, it workItem) {
 			dd := r.step.deferWeight()
 			nbr, ws := r.g.Neighbors(v)
 			cnt := &r.tcnt[tid]
+			st := &r.stage[tid]
 			for i := it.lo; i < it.hi; i++ {
 				if ws[i] >= dd {
 					continue
@@ -235,7 +233,7 @@ func (r *queryState) asyncShortRelaxFn() func(tid int, it workItem) {
 				cnt.AsyncPush++
 				nd := du + graph.Dist(ws[i])
 				dst := r.pd.Owner(nbr[i])
-				r.tbufs[tid][dst] = appendRelax(r.tbufs[tid][dst], nbr[i], tagParent(v, ws[i]), nd)
+				st.relax[dst] = append(st.relax[dst], relaxRec{nbr[i], tagParent(v, ws[i]), nd})
 			}
 		}
 	}
@@ -253,6 +251,7 @@ func (r *queryState) asyncLongRelaxFn() func(tid int, it workItem) {
 			dd := r.step.deferWeight()
 			nbr, ws := r.g.Neighbors(v)
 			cnt := &r.tcnt[tid]
+			st := &r.stage[tid]
 			for i := it.lo; i < it.hi; i++ {
 				if ws[i] < dd {
 					continue
@@ -260,63 +259,80 @@ func (r *queryState) asyncLongRelaxFn() func(tid int, it workItem) {
 				cnt.AsyncPush++
 				nd := du + graph.Dist(ws[i])
 				dst := r.pd.Owner(nbr[i])
-				r.tbufs[tid][dst] = appendRelax(r.tbufs[tid][dst], nbr[i], tagParent(v, ws[i]), nd)
+				st.relax[dst] = append(st.relax[dst], relaxRec{nbr[i], tagParent(v, ws[i]), nd})
 			}
 		}
 	}
 	return r.asyncLongFn
 }
 
-// applyAsyncRelax applies one batch of relax records (wire format wf;
-// self-applied staging is WireV1, received batches are the configured
-// format). The distance/parent rule is applyRelaxIn's canonical one; the
-// bucket bookkeeping differs: membership is re-entrant, guarded by the
-// pending flags instead of the settle-once invariant, and every strict
-// improvement queues both the eager short and the deferred long relax.
-func (r *queryState) applyAsyncRelax(src int, buf []byte, wf WireFormat) error {
+// applyAsyncRelax applies one received batch of relax records.
+func (r *queryState) applyAsyncRelax(src int, buf []byte) error {
 	start := now()
 	defer r.charge(start, false)
-	rd := newRelaxReader(buf, wf)
+	rd := newRelaxReader(buf, r.opts.WireFormat)
 	for {
 		v, tpar, nd, ok := rd.next()
 		if !ok {
 			break
 		}
-		par, zw := untagParent(tpar)
-		li := r.local(v)
-		if uint(li) >= uint(r.nLocal) {
-			return r.corruptErr(src, "relax", fmt.Errorf("vertex %d is not owned by this rank", v))
-		}
-		if nd >= r.dist[li] {
-			if nd == r.dist[li] && nd < graph.Inf && !zw && par < r.parent[li] && v != r.src {
-				r.parent[li] = par
-			}
-			continue
-		}
-		r.dist[li] = nd
-		r.parent[li] = par
-		nb := r.step.key(nd)
-		moved := nb != r.bucketOf[li]
-		r.bucketOf[li] = nb
-		if !r.pending[li] {
-			r.pending[li] = true
-			r.store.add(nb, uint32(li))
-		} else if moved {
-			// Already queued, but in a now-stale list: the entry there fails
-			// the bucketOf filter, so re-add under the new bucket.
-			r.store.add(nb, uint32(li))
-		}
-		if !r.longPending[li] {
-			r.longPending[li] = true
-			r.longStore.add(nb, uint32(li))
-		} else if moved {
-			r.longStore.add(nb, uint32(li))
+		if !r.asyncRelax(v, tpar, nd) {
+			return r.unownedErr(src, v)
 		}
 	}
 	if err := rd.err(); err != nil {
 		return r.corruptErr(src, "relax", err)
 	}
 	return nil
+}
+
+// applyAsyncLocal applies the records a scan staged for this rank
+// itself, straight from the staging list.
+func (r *queryState) applyAsyncLocal(recs []relaxRec) {
+	start := now()
+	defer r.charge(start, false)
+	for _, rec := range recs {
+		r.asyncRelax(rec.v, rec.parent, rec.dist)
+	}
+}
+
+// asyncRelax applies one record and reports whether this rank owns its
+// target. The distance/parent rule is applyRelaxIn's canonical one; the
+// bucket bookkeeping differs: membership is re-entrant, guarded by the
+// pending flags instead of the settle-once invariant, and every strict
+// improvement queues both the eager short and the deferred long relax.
+func (r *queryState) asyncRelax(v, tpar graph.Vertex, nd graph.Dist) bool {
+	par, zw := untagParent(tpar)
+	li := r.local(v)
+	if uint(li) >= uint(r.nLocal) {
+		return false
+	}
+	if nd >= r.dist[li] {
+		if nd == r.dist[li] && nd < graph.Inf && !zw && par < r.parent[li] && v != r.src {
+			r.parent[li] = par
+		}
+		return true
+	}
+	r.dist[li] = nd
+	r.parent[li] = par
+	nb := r.step.key(nd)
+	moved := nb != r.bucketOf[li]
+	r.bucketOf[li] = nb
+	if !r.pending[li] {
+		r.pending[li] = true
+		r.store.add(nb, uint32(li))
+	} else if moved {
+		// Already queued, but in a now-stale list: the entry there fails
+		// the bucketOf filter, so re-add under the new bucket.
+		r.store.add(nb, uint32(li))
+	}
+	if !r.longPending[li] {
+		r.longPending[li] = true
+		r.longStore.add(nb, uint32(li))
+	} else if moved {
+		r.longStore.add(nb, uint32(li))
+	}
+	return true
 }
 
 // drainAsync applies every batch already queued for this rank. A nonzero
@@ -338,20 +354,21 @@ func (r *queryState) drainAsync(wait time.Duration) (bool, error) {
 		got = true
 		wait = 0
 		r.t.Stats.RecordsReceived += int64(wireRecordCount(payload, relaxKind, wf))
-		if err := r.applyAsyncRelax(src, payload, wf); err != nil {
+		if err := r.applyAsyncRelax(src, payload); err != nil {
 			return got, err
 		}
 	}
 }
 
-// stageAsync appends staged v1 records for dest, flushing at the size
-// watermark.
-func (r *queryState) stageAsync(dest int, recs []byte) error {
+// stageAsync appends staged records for dest, flushing at the size
+// watermark (counted in fixed-width record bytes, whatever the wire
+// format).
+func (r *queryState) stageAsync(dest int, recs []relaxRec) error {
 	if len(r.asyncStage[dest]) == 0 {
 		r.asyncStageAt[dest] = now()
 	}
 	r.asyncStage[dest] = append(r.asyncStage[dest], recs...)
-	if len(r.asyncStage[dest]) >= r.opts.asyncFlushBytes() {
+	if len(r.asyncStage[dest])*relaxRecordSize >= r.opts.asyncFlushBytes() {
 		return r.flushAsync(dest)
 	}
 	return nil
@@ -392,26 +409,17 @@ func (r *queryState) flushAsync(dest int) error {
 	if len(stage) == 0 {
 		return nil
 	}
-	n := numRelaxRecords(stage)
-	payload := stage
 	if r.opts.WireFormat == WireV2 {
-		recs := r.relaxRecs[:0]
-		for i := 0; i < n; i++ {
-			v, par, d := decodeRelax(stage, i)
-			recs = append(recs, relaxRec{v, par, d})
-		}
-		r.relaxRecs = recs
-		sortRelaxBatch(&r.sorter, recs)
-		r.asyncFlushBuf = encodeRelaxBatch(r.asyncFlushBuf[:0], recs)
-		payload = r.asyncFlushBuf
+		sortRelaxBatch(&r.sorter, stage) // in place: the staging is consumed here
 	}
+	r.asyncFlushBuf = encodeRelax(r.asyncFlushBuf[:0], stage, r.opts.WireFormat)
 	start := now()
-	err := r.t.SendBatch(dest, payload)
+	err := r.t.SendBatch(dest, r.asyncFlushBuf)
 	r.charge(start, false)
 	if err != nil {
 		return err
 	}
-	r.t.Stats.RecordsSent += int64(n)
+	r.t.Stats.RecordsSent += int64(len(stage))
 	r.asyncStage[dest] = stage[:0]
 	r.asyncStageAt[dest] = time.Time{}
 	return nil

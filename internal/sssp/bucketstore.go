@@ -114,15 +114,32 @@ func (s *bucketStore) nextPending(bucketOf []int64, pending []bool) int64 {
 	}
 }
 
-// countValid returns the number of valid entries in bucket k.
-func (s *bucketStore) countValid(k int64, bucketOf []int64) int64 {
-	var c int64
-	for _, li := range s.lists[k] {
-		if bucketOf[li] == k {
-			c++
+// sumValidAbove returns Σ cost(li) over the valid entries of every
+// bucket above k — under bulk-synchronous execution exactly the local
+// vertices that are reached but not yet settled, each once. Visited
+// lists are compacted in place and fully stale ones recycled, as in
+// nextNonEmpty, so repeated calls stay linear in the insertions.
+func (s *bucketStore) sumValidAbove(k int64, bucketOf []int64, cost func(li uint32) int64) int64 {
+	var sum int64
+	//parssspvet:allow nodeterminism -- pure sum reduction over the buckets; result is order-insensitive
+	for idx, l := range s.lists {
+		if idx <= k {
+			continue
 		}
+		valid := l[:0]
+		for _, li := range l {
+			if bucketOf[li] == idx {
+				valid = append(valid, li)
+				sum += cost(li)
+			}
+		}
+		if len(valid) == 0 {
+			s.drop(idx)
+			continue
+		}
+		s.lists[idx] = valid
 	}
-	return c
+	return sum
 }
 
 // setList replaces bucket k's list with l, which must alias k's own

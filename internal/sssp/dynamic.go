@@ -33,9 +33,9 @@ import (
 //     (at the weight the new graph actually kept, which min-weight dedup
 //     may have collapsed).
 //  3. Re-relax. Plain Bellman-Ford rounds (the hybrid-switch apply path:
-//     no buckets, mark/stamp active-set dedup) push improvements until a
-//     global Allreduce sees no activity. Only the affected region ever
-//     activates.
+//     no buckets, mark/stamp active-set dedup) push improvements until
+//     the round headers show no activity anywhere (relaxRounds). Only the
+//     affected region ever activates.
 //  4. Re-elect. Parents are canonical — min-id over the final equal-cost
 //     candidates (see applyRelaxIn) — but a vertex whose distance moved
 //     has only heard from candidates that also moved. One final
@@ -417,32 +417,20 @@ func (r *queryState) repair(newPlane *rankGraph, batch UpdateBatch) (RepairStats
 
 	// Phase 2: seed. Invalidated vertices request offers over their full
 	// new adjacency; inserted edges offer both ways between finite
-	// endpoints. Records stage through thread 0's buffers, so clear all
-	// of them first (runWorkers, which normally does, is not involved).
+	// endpoints. Records stage through thread 0's lists, so clear all of
+	// them first (runWorkers, which normally does, is not involved).
 	r.hybridMode = true
 	r.active = r.active[:0]
 	r.nextActive = r.nextActive[:0]
-	clearStaging := func() {
-		for tid := range r.tbufs {
-			for dest := range r.tbufs[tid] {
-				r.tbufs[tid][dest] = r.tbufs[tid][dest][:0]
-			}
-		}
-	}
-	clearStaging()
+	r.clearStage()
 	for _, li := range invalidated {
-		v := r.global(li)
-		nbr, ws := r.g.Neighbors(v)
-		for i, u := range nbr {
-			dst := r.pd.Owner(u)
-			r.tbufs[0][dst] = appendRequest(r.tbufs[0][dst], u, v, ws[i])
-		}
+		r.stageAdjacencyRequests(li)
 	}
-	reqIn, err := r.exchangeRecords(requestKind)
+	reqIn, err := r.exchangeRecords(requestKind, 0, 0)
 	if err != nil {
 		return rs, err
 	}
-	if err := r.respondRepairRequests(reqIn); err != nil {
+	if err := r.respondRequests(reqIn, -1); err != nil {
 		return rs, err
 	}
 	for _, u := range batch {
@@ -452,7 +440,7 @@ func (r *queryState) repair(newPlane *rankGraph, batch UpdateBatch) (RepairStats
 		r.offerInsert(u.U, u.V)
 		r.offerInsert(u.V, u.U)
 	}
-	in, err := r.exchangeRecords(relaxKind)
+	in, err := r.exchangeRecords(relaxKind, 0, 0)
 	if err != nil {
 		return rs, err
 	}
@@ -465,37 +453,22 @@ func (r *queryState) repair(newPlane *rankGraph, batch UpdateBatch) (RepairStats
 	// parent re-election round over everything that moved; repeat if the
 	// election somehow found an improvement (it cannot — see the file
 	// comment — but the loop re-checks rather than assumes).
-	canonDone := false
-	for {
-		for _, li := range r.active {
+	rounds := roundSpec{scan: r.bellmanFordFn(), onRound: func(active []uint32) {
+		for _, li := range active {
 			touched[li] = true
 		}
-		r.reduceVal[0] = int64(len(r.active))
-		av, err := r.allreduce(r.reduceVal[:1], comm.Sum, false)
+	}}
+	for canonDone := false; ; canonDone = true {
+		n, err := r.relaxRounds(rounds)
 		if err != nil {
 			return rs, err
 		}
-		if av[0] == 0 {
-			if canonDone {
-				break
-			}
-			rs.CanonRounds++
-			if err := r.reelectParents(touched); err != nil {
-				return rs, err
-			}
-			r.active, r.nextActive = r.nextActive, r.active[:0]
-			canonDone = true
-			continue
+		rs.RelaxRounds += n
+		if canonDone && n == 0 {
+			break
 		}
-		canonDone = false
-		rs.RelaxRounds++
-		items := r.buildItems(r.active)
-		r.runWorkers(items, r.bellmanFordFn())
-		in, err := r.exchangeRecords(relaxKind)
-		if err != nil {
-			return rs, err
-		}
-		if err := r.applyRelaxIn(in, false, nil); err != nil {
+		rs.CanonRounds++
+		if err := r.reelectParents(touched); err != nil {
 			return rs, err
 		}
 		r.active, r.nextActive = r.nextActive, r.active[:0]
@@ -503,50 +476,16 @@ func (r *queryState) repair(newPlane *rankGraph, batch UpdateBatch) (RepairStats
 	return rs, nil
 }
 
-// respondRepairRequests answers repair-seed requests: for each (u, v, w)
-// with u local and settled, offer relax(v, d(u)+w). The pull responder's
-// pattern minus the bucket filter; the self-delivered buffer is copied
-// out before the staging buffers it may alias are cleared.
-func (r *queryState) respondRepairRequests(reqIn [][]byte) error {
-	if self := reqIn[r.rank]; len(self) > 0 {
-		r.scratch = append(r.scratch[:0], self...)
-		reqIn[r.rank] = r.scratch
+// stageAdjacencyRequests stages, through thread 0's lists, one request
+// per edge of local vertex li: every neighbour is asked for an offer.
+func (r *queryState) stageAdjacencyRequests(li uint32) {
+	v := r.global(li)
+	nbr, ws := r.g.Neighbors(v)
+	st := &r.stage[0]
+	for i, u := range nbr {
+		dst := r.pd.Owner(u)
+		st.req[dst] = append(st.req[dst], requestRec{u, v, ws[i]})
 	}
-	for tid := range r.tbufs {
-		for dest := range r.tbufs[tid] {
-			r.tbufs[tid][dest] = r.tbufs[tid][dest][:0]
-		}
-	}
-	wf := r.opts.WireFormat
-	nVerts := graph.Vertex(r.pd.NumVertices())
-	for src, buf := range reqIn {
-		rd := newRequestReader(buf, wf)
-		for {
-			u, v, w, ok := rd.next()
-			if !ok {
-				break
-			}
-			li := r.local(u)
-			if uint(li) >= uint(r.nLocal) {
-				return r.corruptErr(src, "request",
-					fmt.Errorf("vertex %d is not owned by this rank", u))
-			}
-			if v >= nVerts {
-				return r.corruptErr(src, "request",
-					fmt.Errorf("requester %d is not a vertex", v))
-			}
-			if r.dist[li] >= graph.Inf {
-				continue
-			}
-			nd := r.dist[li] + graph.Dist(w)
-			dst := r.pd.Owner(v)
-			r.tbufs[0][dst] = appendRelax(r.tbufs[0][dst], v, tagParent(u, w), nd)
-		}
-		if err := rd.err(); err != nil {
-			return r.corruptErr(src, "request", err)
-		}
-	}
-	return nil
 }
 
 // offerInsert stages the relaxation offer of inserted edge a-b from a's
@@ -567,37 +506,28 @@ func (r *queryState) offerInsert(a, b graph.Vertex) {
 	}
 	nd := r.dist[li] + graph.Dist(w)
 	dst := r.pd.Owner(b)
-	r.tbufs[0][dst] = appendRelax(r.tbufs[0][dst], b, tagParent(a, w), nd)
+	st := &r.stage[0]
+	st.relax[dst] = append(st.relax[dst], relaxRec{b, tagParent(a, w), nd})
 }
 
 // reelectParents runs the final canonical-election round: every touched
 // local vertex requests offers over its full adjacency, and the
 // responses re-run the equal-distance parent election in applyRelaxIn.
 func (r *queryState) reelectParents(touched []bool) error {
-	for tid := range r.tbufs {
-		for dest := range r.tbufs[tid] {
-			r.tbufs[tid][dest] = r.tbufs[tid][dest][:0]
-		}
-	}
+	r.clearStage()
 	for li, t := range touched {
-		if !t {
-			continue
-		}
-		v := r.global(uint32(li))
-		nbr, ws := r.g.Neighbors(v)
-		for i, u := range nbr {
-			dst := r.pd.Owner(u)
-			r.tbufs[0][dst] = appendRequest(r.tbufs[0][dst], u, v, ws[i])
+		if t {
+			r.stageAdjacencyRequests(uint32(li))
 		}
 	}
-	reqIn, err := r.exchangeRecords(requestKind)
+	reqIn, err := r.exchangeRecords(requestKind, 0, 0)
 	if err != nil {
 		return err
 	}
-	if err := r.respondRepairRequests(reqIn); err != nil {
+	if err := r.respondRequests(reqIn, -1); err != nil {
 		return err
 	}
-	in, err := r.exchangeRecords(relaxKind)
+	in, err := r.exchangeRecords(relaxKind, 0, 0)
 	if err != nil {
 		return err
 	}

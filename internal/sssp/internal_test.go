@@ -16,8 +16,12 @@ func TestBucketStoreBasics(t *testing.T) {
 	s.add(0, 0)
 	s.add(0, 1)
 	s.add(3, 2)
-	if got := s.countValid(0, bucketOf); got != 2 {
-		t.Errorf("countValid(0) = %d, want 2", got)
+	one := func(uint32) int64 { return 1 }
+	if got := s.sumValidAbove(-1, bucketOf, one); got != 3 {
+		t.Errorf("sumValidAbove(-1) = %d, want 3", got)
+	}
+	if got := s.sumValidAbove(0, bucketOf, one); got != 1 {
+		t.Errorf("sumValidAbove(0) = %d, want 1", got)
 	}
 	if got := s.nextNonEmpty(0, bucketOf); got != 3 {
 		t.Errorf("nextNonEmpty(0) = %d, want 3", got)
@@ -35,8 +39,11 @@ func TestBucketStoreStaleEntries(t *testing.T) {
 	s.add(5, 0)
 	s.add(1, 0)
 	s.add(5, 1)
-	if got := s.countValid(5, bucketOf); got != 1 {
-		t.Errorf("countValid(5) = %d, want 1 (stale entry filtered)", got)
+	if got := s.sumValidAbove(1, bucketOf, func(uint32) int64 { return 1 }); got != 1 {
+		t.Errorf("sumValidAbove(1) = %d, want 1 (stale entry filtered)", got)
+	}
+	if got := len(s.list(5)); got != 1 {
+		t.Errorf("bucket 5 kept %d entries after the scan, want 1 (compacted)", got)
 	}
 	if got := s.nextNonEmpty(0, bucketOf); got != 1 {
 		t.Errorf("nextNonEmpty(0) = %d, want 1", got)

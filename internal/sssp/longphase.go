@@ -8,39 +8,91 @@ import (
 	"parsssp/internal/graph"
 )
 
-// This file implements the long-edge phase of an epoch: the push model,
-// the pull model (the paper's pruning heuristic), the per-bucket
-// push/pull decision heuristic, and the post-switch Bellman-Ford rounds
-// of the hybridization strategy.
+// This file implements what follows an epoch's short-edge fixpoint: the
+// settle exchange, the long-edge phase in its push and pull forms (the
+// paper's pruning heuristic), the per-bucket push/pull decision, and the
+// post-switch Bellman-Ford rounds of the hybridization strategy.
 
-// longPhase relaxes the long edges (and, under IOS, the outer short
-// edges) of the settled bucket-k vertices.
+// settleBucket runs the one exchange every epoch performs right after
+// its short-edge fixpoint. Its header publishes this rank's share of the
+// two quantities the fixpoint made final — the long-edge push volume of
+// bucket k (the decision heuristic wants its sum and its per-rank
+// maximum) and the number of vertices the bucket settles — so neither
+// needs a collective of its own. Under IOS the same exchange carries the
+// outer-short relaxations of the members: always pushed, regardless of
+// the long-edge mechanism; see DESIGN.md ("Pull phase and outer-short
+// edges"). Without IOS the short phases already relaxed every short
+// edge and the frames are headers only.
 //
 // Stage order matters for the decision heuristic: the outer-short push
-// runs first because it assigns finite tentative distances to many
+// runs before it because it assigns finite tentative distances to many
 // previously-unreached vertices, which shrinks their useful-request sets;
 // counting pull requests before it would overestimate the pull cost by
 // roughly 2× on benchmark graphs.
-func (r *queryState) longPhase(k int64, bs *BucketStats) error {
-	members := r.collectMembers(k)
-	r.stats.Phases++
-
-	// Outer short edges (IOS): always pushed, regardless of the long-edge
-	// mechanism; see DESIGN.md ("Pull phase and outer-short edges").
-	// Without IOS the short phases already relaxed every short edge, so
-	// there is nothing outer to do.
-	if r.opts.IOS {
-		start := now()
-		before := r.relaxTotals()
-		if err := r.pushOuterShort(k, members); err != nil {
-			return err
+func (r *queryState) settleBucket(k int64, members []uint32) error {
+	start := now()
+	before := r.relaxTotals()
+	var pushLocal int64
+	if r.opts.Prune {
+		for _, li := range members {
+			pushLocal += r.longDeg(li)
 		}
+	}
+	var pushers []uint32
+	if r.opts.IOS {
+		pushers = members
+	}
+	r.runWorkers(r.buildItems(pushers), r.outerScan())
+	in, err := r.exchangeRecords(relaxKind, pushLocal, int64(len(members)))
+	if err != nil {
+		return err
+	}
+	r.pushSum, r.pushMax = r.hdrSum[0], r.hdrMax[0]
+	r.settledTotal += r.hdrSum[1]
+	if err := r.applyRelaxIn(in, false, nil); err != nil {
+		return err
+	}
+	if r.opts.IOS {
 		r.logPhase(k, PhaseOuterShort, len(members), before, start)
 	}
+	return nil
+}
 
+// outerScan lazily builds the outer-short scan: the short edges of a
+// settled member that the short phases' IOS filter held back.
+func (r *queryState) outerScan() func(tid int, it workItem) {
+	if r.outerFn == nil {
+		r.outerFn = func(tid int, it workItem) {
+			v := r.global(it.li)
+			du := r.dist[it.li]
+			nbr, ws := r.g.Neighbors(v)
+			cnt := &r.tcnt[tid]
+			st := &r.stage[tid]
+			end := it.hi
+			if se := r.shortEnd[it.li]; end > se {
+				end = se // long edges are handled by the long-edge mechanism
+			}
+			for i := it.lo; i < end; i++ {
+				nd := du + graph.Dist(ws[i])
+				if nd <= r.phBEnd {
+					continue // inner short: already relaxed in short phases
+				}
+				cnt.OuterShortPush++
+				dst := r.pd.Owner(nbr[i])
+				st.relax[dst] = append(st.relax[dst], relaxRec{nbr[i], tagParent(v, ws[i]), nd})
+			}
+		}
+	}
+	return r.outerFn
+}
+
+// longPhase relaxes the long edges of the settled bucket-k vertices, by
+// push or by pull.
+func (r *queryState) longPhase(k int64, members []uint32, bs *BucketStats) error {
+	r.stats.Phases++
 	mode := ModePush
 	if r.opts.Prune {
-		m, err := r.decideMode(k, members, bs)
+		m, err := r.decideMode(k, bs)
 		if err != nil {
 			return err
 		}
@@ -52,7 +104,7 @@ func (r *queryState) longPhase(k int64, bs *BucketStats) error {
 	start := now()
 	before := r.relaxTotals()
 	if mode == ModePush {
-		if err := r.pushScanLong(k, members, bs); err != nil {
+		if err := r.pushScanLong(members, bs); err != nil {
 			return err
 		}
 		r.logPhase(k, PhaseLongPush, len(members), before, start)
@@ -65,49 +117,16 @@ func (r *queryState) longPhase(k int64, bs *BucketStats) error {
 	return nil
 }
 
-// pushOuterShort pushes the outer-short edges of the bucket members in
-// one exchange.
-func (r *queryState) pushOuterShort(k int64, members []uint32) error {
-	r.phBEnd = r.bucketEnd(k)
-	if r.outerFn == nil {
-		r.outerFn = func(tid int, it workItem) {
-			v := r.global(it.li)
-			du := r.dist[it.li]
-			nbr, ws := r.g.Neighbors(v)
-			cnt := &r.tcnt[tid]
-			end := it.hi
-			if se := r.shortEnd[it.li]; end > se {
-				end = se // long edges are handled by the long-edge mechanism
-			}
-			for i := it.lo; i < end; i++ {
-				nd := du + graph.Dist(ws[i])
-				if nd <= r.phBEnd {
-					continue // inner short: already relaxed in short phases
-				}
-				cnt.OuterShortPush++
-				dst := r.pd.Owner(nbr[i])
-				r.tbufs[tid][dst] = appendRelax(r.tbufs[tid][dst], nbr[i], tagParent(v, ws[i]), nd)
-			}
-		}
-	}
-	items := r.buildItems(members)
-	r.runWorkers(items, r.outerFn)
-	in, err := r.exchangeRecords(relaxKind)
-	if err != nil {
-		return err
-	}
-	return r.applyRelaxIn(in, false, nil)
-}
-
 // pushScanLong pushes only the long edges, attributing the received
 // records to the self/backward/forward census when enabled.
-func (r *queryState) pushScanLong(k int64, members []uint32, bs *BucketStats) error {
+func (r *queryState) pushScanLong(members []uint32, bs *BucketStats) error {
 	if r.longFn == nil {
 		r.longFn = func(tid int, it workItem) {
 			v := r.global(it.li)
 			du := r.dist[it.li]
 			nbr, ws := r.g.Neighbors(v)
 			cnt := &r.tcnt[tid]
+			st := &r.stage[tid]
 			se := r.shortEnd[it.li]
 			lo := it.lo
 			if lo < se {
@@ -117,13 +136,13 @@ func (r *queryState) pushScanLong(k int64, members []uint32, bs *BucketStats) er
 				cnt.LongPush++
 				nd := du + graph.Dist(ws[i])
 				dst := r.pd.Owner(nbr[i])
-				r.tbufs[tid][dst] = appendRelax(r.tbufs[tid][dst], nbr[i], tagParent(v, ws[i]), nd)
+				st.relax[dst] = append(st.relax[dst], relaxRec{nbr[i], tagParent(v, ws[i]), nd})
 			}
 		}
 	}
 	items := r.buildItems(members)
 	r.runWorkers(items, r.longFn)
-	in, err := r.exchangeRecords(relaxKind)
+	in, err := r.exchangeRecords(relaxKind, 0, 0)
 	if err != nil {
 		return err
 	}
@@ -162,6 +181,7 @@ func (r *queryState) pullScan(k int64) error {
 			bound := dv - r.phKBase // request iff w <= bound
 			nbr, ws := r.g.Neighbors(v)
 			cnt := &r.tcnt[tid]
+			st := &r.stage[tid]
 			se := r.shortEnd[it.li]
 			lo := it.lo
 			if lo < se {
@@ -178,79 +198,99 @@ func (r *queryState) pullScan(k int64) error {
 				}
 				cnt.PullRequests++
 				dst := r.pd.Owner(nbr[i])
-				r.tbufs[tid][dst] = appendRequest(r.tbufs[tid][dst], nbr[i], v, ws[i])
+				st.req[dst] = append(st.req[dst], requestRec{nbr[i], v, ws[i]})
 			}
 		}
 	}
 	items := r.buildItems(requesters)
 	r.runWorkers(items, r.pullFn)
-	reqIn, err := r.exchangeRecords(requestKind)
+	reqIn, err := r.exchangeRecords(requestKind, 0, 0)
 	if err != nil {
 		return err
 	}
+	if err := r.respondRequests(reqIn, k); err != nil {
+		return err
+	}
+	respIn, err := r.exchangeRecords(relaxKind, 0, 0)
+	if err != nil {
+		return err
+	}
+	return r.applyRelaxIn(respIn, false, nil)
+}
 
-	// Respond: for each request (u, v, w) with u local and in the current
-	// bucket, send relax(v, d(u)+w) to v's owner. Serial walk, emitting
-	// through thread 0's buffers. The self-delivered buffer may alias the
-	// very buffers responses are appended to (local delivery is
-	// zero-copy), so it is copied to a scratch area first. All threads'
-	// staging buffers are cleared — they still hold the request payloads,
-	// and exchangeRecords gathers every thread's buffer.
-	start = now()
-	if self := reqIn[r.rank]; len(self) > 0 {
-		r.scratch = append(r.scratch[:0], self...)
-		reqIn[r.rank] = r.scratch
-	}
-	for tid := range r.tbufs {
-		for dest := range r.tbufs[tid] {
-			r.tbufs[tid][dest] = r.tbufs[tid][dest][:0]
-		}
-	}
-	cnt := &r.tcnt[0]
+// respondRequests answers a request superstep: for each request
+// (u, v, w) whose u may respond, stage relax(v, d(u)+w) for v's owner.
+// With bucket >= 0 only current-bucket vertices respond (the pull
+// phase, which counts its responses); with bucket < 0 every reached
+// vertex does (the repair's seed and re-election requests). A serial
+// walk in source-rank order — this rank's own requests are read from
+// the scan's staging lists at its position in that order — emitting
+// through thread 0's relax lists, which the request scan left empty.
+//
+// Damaged requests fail the query like damaged relaxations do (see
+// applyRelaxIn): u must be locally owned, and v must be a real vertex or
+// Owner(v) would fault.
+func (r *queryState) respondRequests(reqIn [][]byte, bucket int64) error {
+	start := now()
+	defer r.charge(start, false)
 	wf := r.opts.WireFormat
-	nVerts := graph.Vertex(r.pd.NumVertices())
 	for src, buf := range reqIn {
+		if src == r.rank {
+			for tid := range r.stage {
+				for _, q := range r.stage[tid].req[src] {
+					if err := r.respond(src, q, bucket); err != nil {
+						return err
+					}
+				}
+			}
+			continue
+		}
 		rd := newRequestReader(buf, wf)
 		for {
 			u, v, w, ok := rd.next()
 			if !ok {
 				break
 			}
-			// Damaged requests fail the query like damaged relaxations do
-			// (see applyRelaxIn): u must be locally owned, and v must be a
-			// real vertex or Owner(v) below would fault.
-			li := r.local(u)
-			if uint(li) >= uint(r.nLocal) {
-				r.charge(start, false)
-				return r.corruptErr(src, "request",
-					fmt.Errorf("vertex %d is not owned by this rank", u))
+			if err := r.respond(src, requestRec{u, v, w}, bucket); err != nil {
+				return err
 			}
-			if v >= nVerts {
-				r.charge(start, false)
-				return r.corruptErr(src, "request",
-					fmt.Errorf("requester %d is not a vertex", v))
-			}
-			if r.bucketOf[li] != k {
-				continue
-			}
-			cnt.PullResponses++
-			nd := r.dist[li] + graph.Dist(w)
-			dst := r.pd.Owner(v)
-			r.tbufs[0][dst] = appendRelax(r.tbufs[0][dst], v, tagParent(u, w), nd)
 		}
 		if err := rd.err(); err != nil {
-			r.charge(start, false)
 			return r.corruptErr(src, "request", err)
 		}
 	}
-	r.charge(start, false)
-
-	respIn, err := r.exchangeRecords(relaxKind)
-	if err != nil {
-		return err
-	}
-	return r.applyRelaxIn(respIn, false, nil)
+	return nil
 }
+
+// respond answers one request from rank src; see respondRequests.
+func (r *queryState) respond(src int, q requestRec, bucket int64) error {
+	li := r.local(q.u)
+	if uint(li) >= uint(r.nLocal) {
+		return r.corruptErr(src, "request",
+			fmt.Errorf("vertex %d is not owned by this rank", q.u))
+	}
+	if q.v >= graph.Vertex(r.pd.NumVertices()) {
+		return r.corruptErr(src, "request",
+			fmt.Errorf("requester %d is not a vertex", q.v))
+	}
+	if bucket >= 0 {
+		if r.bucketOf[li] != bucket {
+			return nil
+		}
+		r.tcnt[0].PullResponses++
+	} else if r.dist[li] >= graph.Inf {
+		return nil
+	}
+	dst := r.pd.Owner(q.v)
+	st := &r.stage[0]
+	st.relax[dst] = append(st.relax[dst],
+		relaxRec{q.v, tagParent(q.u, q.w), r.dist[li] + graph.Dist(q.w)})
+	return nil
+}
+
+// pullLocalHook, when set (tests only), observes every decision's
+// rank-local pull cost as decideMode computed it.
+var pullLocalHook func(r *queryState, k int64, pullLocal int64)
 
 // decideMode evaluates the push/pull decision heuristic for bucket k.
 //
@@ -260,47 +300,55 @@ func (r *queryState) pullScan(k int64) error {
 // uses the request count as the response upper bound). Following the
 // paper's fine-tuned heuristic, each cost blends the machine-wide volume
 // with the worst-rank load: cost = (1−λ)·volume + λ·P·maxPerRank.
-func (r *queryState) decideMode(k int64, members []uint32, bs *BucketStats) (Mode, error) {
+//
+// The push side arrived on the settle exchange's header. The pull side
+// is this rank's request count over every vertex not yet settled,
+// computed without visiting them all: an unreached vertex would request
+// over every long edge, and Σ long-degree over the unreached is kept
+// running (unreachedLong); the reached-but-unsettled rest is exactly the
+// valid entries of the bucket lists above k. One Allreduce over a
+// slot-per-rank vector hands every rank all the per-rank counts, which
+// it reduces to the sum and the maximum itself.
+func (r *queryState) decideMode(k int64, bs *BucketStats) (Mode, error) {
 	start := now()
-	var pushLocal int64
-	for _, li := range members {
-		deg := int64(r.g.Degree(r.global(li)))
-		pushLocal += deg - int64(r.shortEnd[li])
-	}
-	var pullLocal int64
 	kBase := k * r.dd
-	for li := 0; li < r.nLocal; li++ {
-		if r.bucketOf[li] <= k {
-			continue
-		}
-		pullLocal += r.requestCount(uint32(li), kBase)
+	pullLocal := r.unreachedLong + r.store.sumValidAbove(k, r.bucketOf,
+		func(li uint32) int64 { return r.requestCount(li, kBase) })
+	if pullLocalHook != nil {
+		pullLocalHook(r, k, pullLocal)
 	}
 	r.charge(start, false)
 
-	r.reduceVal[0], r.reduceVal[1] = pushLocal, pullLocal
-	sums, err := r.allreduce(r.reduceVal[:2], comm.Sum, false)
+	for i := range r.gatherVal {
+		r.gatherVal[i] = 0
+	}
+	r.gatherVal[r.rank] = pullLocal
+	pulls, err := r.allreduce(r.gatherVal, comm.Sum, false)
 	if err != nil {
 		return ModePush, err
 	}
-	maxes, err := r.allreduce(r.reduceVal[:2], comm.Max, false)
-	if err != nil {
-		return ModePush, err
+	var pullSum, pullMax int64
+	for _, v := range pulls {
+		pullSum += v
+		if v > pullMax {
+			pullMax = v
+		}
 	}
 	lambda := r.opts.ImbalanceWeight
 	p := float64(r.size)
-	costPush := (1-lambda)*float64(sums[0]) + lambda*p*float64(maxes[0])
+	costPush := (1-lambda)*float64(r.pushSum) + lambda*p*float64(r.pushMax)
 	// Responses are bounded by both the request count and the number of
 	// long edges incident on the current bucket (only those can answer),
 	// so min(requests, pushVolume) tightens the paper's requests-only
 	// bound.
-	responses := sums[1]
-	if sums[0] < responses {
-		responses = sums[0]
+	responses := pullSum
+	if r.pushSum < responses {
+		responses = r.pushSum
 	}
-	costPull := (1-lambda)*float64(sums[1]+responses) + lambda*p*2*float64(maxes[1])
+	costPull := (1-lambda)*float64(pullSum+responses) + lambda*p*2*float64(pullMax)
 	bs.PushCost = int64(costPush)
 	bs.PullCost = int64(costPull)
-	bs.Requests = sums[1]
+	bs.Requests = pullSum
 
 	mode := ModePush
 	if costPull < costPush {
@@ -375,11 +423,12 @@ func (r *queryState) bellmanFordFn() func(tid int, it workItem) {
 			du := r.dist[it.li]
 			nbr, ws := r.g.Neighbors(v)
 			cnt := &r.tcnt[tid]
+			st := &r.stage[tid]
 			for i := it.lo; i < it.hi; i++ {
 				cnt.BellmanFord++
 				nd := du + graph.Dist(ws[i])
 				dst := r.pd.Owner(nbr[i])
-				r.tbufs[tid][dst] = appendRelax(r.tbufs[tid][dst], nbr[i], tagParent(v, ws[i]), nd)
+				st.relax[dst] = append(st.relax[dst], relaxRec{nbr[i], tagParent(v, ws[i]), nd})
 			}
 		}
 	}
@@ -401,30 +450,9 @@ func (r *queryState) runBellmanFord(k int64) error {
 	r.active = frontier
 	r.charge(start, true)
 
-	for {
-		r.reduceVal[0] = int64(len(r.active))
-		av, err := r.allreduce(r.reduceVal[:1], comm.Sum, true)
-		if err != nil {
-			return err
-		}
-		if av[0] == 0 {
-			return nil
-		}
-		r.stats.Phases++
-		r.stats.BFPhases++
-		bfStart := now()
-		bfBefore := r.relaxTotals()
-		nActive := len(r.active)
-		items := r.buildItems(r.active)
-		r.runWorkers(items, r.bellmanFordFn())
-		in, err := r.exchangeRecords(relaxKind)
-		if err != nil {
-			return err
-		}
-		if err := r.applyRelaxIn(in, false, nil); err != nil {
-			return err
-		}
-		r.logPhase(-1, PhaseBellmanFord, nActive, bfBefore, bfStart)
-		r.active, r.nextActive = r.nextActive, r.active[:0]
-	}
+	rounds, err := r.relaxRounds(roundSpec{
+		scan: r.bellmanFordFn(), log: true, kind: PhaseBellmanFord, key: -1})
+	r.stats.Phases += rounds
+	r.stats.BFPhases += rounds
+	return err
 }

@@ -245,6 +245,7 @@ func (r *queryState) reset(src graph.Vertex) {
 	r.active = r.active[:0]
 	r.nextActive = r.nextActive[:0]
 	r.stamp = 0
+	r.unreachedLong = r.longTotal
 	r.settledTotal = 0
 	r.epochSeq = 0
 	r.stats = Stats{

@@ -35,6 +35,17 @@ import (
 // Both decode through the same readers, so the apply paths are
 // format-oblivious. See DESIGN.md "Wire format v2" for the layouts and
 // the argument that sorting relax batches cannot change results.
+//
+// Scans stage their output as typed records (relaxRec, requestRec), one
+// list per destination rank. Only lists bound for another rank are ever
+// encoded: a record whose owner is the scanning rank is applied straight
+// from its staging list and never meets either codec.
+//
+// Every encoded frame starts with a two-word round header (see
+// appendHeader) that lets the engine learn machine-wide sums from the
+// exchange it was going to run anyway instead of from an extra
+// Allreduce; DESIGN.md "Collective schedule" says what each exchange
+// site puts in the two words.
 
 // WireFormat selects the exchange record encoding.
 type WireFormat int
@@ -75,9 +86,7 @@ const (
 
 // ---- v1 fixed-width records ------------------------------------------------
 
-// appendRelax appends a v1 relax record to buf. v1 doubles as the
-// in-memory staging format of the per-thread emission buffers, whatever
-// format goes on the wire.
+// appendRelax appends a v1 relax record to buf.
 func appendRelax(buf []byte, v, parent graph.Vertex, d graph.Dist) []byte {
 	var rec [relaxRecordSize]byte
 	binary.LittleEndian.PutUint32(rec[0:4], v)
@@ -150,11 +159,19 @@ func numRequestRecords(buf []byte) int { return len(buf) / requestRecordSize }
 
 // ---- v2 batch codec --------------------------------------------------------
 
-// relaxRec is a decoded relax record, the unit the v2 encoder sorts.
+// relaxRec is a relax record in memory: what a scan stages, what the
+// rank-local fast path applies, and the unit the v2 encoder sorts.
+// parent is the tagged field (see tagParent).
 type relaxRec struct {
 	v      graph.Vertex
 	parent graph.Vertex
 	dist   graph.Dist
+}
+
+// requestRec is a pull (or repair) request in memory.
+type requestRec struct {
+	u, v graph.Vertex
+	w    graph.Weight
 }
 
 // relaxSorter holds the pooled scratch buffer of the stable radix sort
@@ -234,24 +251,71 @@ func sortRelaxBatch(s *relaxSorter, recs []relaxRec) {
 	}
 }
 
-// encodeRequestBatch appends the v2 encoding of a request batch staged in
-// v1 layout. Requests are NOT sorted: the responder walks them in order,
-// and permuting requests would permute the emitted responses.
-func encodeRequestBatch(buf []byte, v1buf []byte) []byte {
-	n := numRequestRecords(v1buf)
-	buf = binary.AppendUvarint(buf, uint64(n))
-	for i := 0; i < n; i++ {
-		u, v, w := decodeRequest(v1buf, i)
-		buf = binary.AppendUvarint(buf, uint64(u))
-		buf = binary.AppendUvarint(buf, uint64(v))
-		buf = binary.AppendUvarint(buf, uint64(w))
+// encodeRelax appends recs to buf in wire format wf. The v2 encoding
+// needs recs sorted by vertex (sortRelaxBatch); v1 keeps the given order.
+func encodeRelax(buf []byte, recs []relaxRec, wf WireFormat) []byte {
+	if wf == WireV2 {
+		return encodeRelaxBatch(buf, recs)
+	}
+	for _, rec := range recs {
+		buf = appendRelax(buf, rec.v, rec.parent, rec.dist)
 	}
 	return buf
 }
 
+// encodeRequests appends a request batch to buf in wire format wf.
+// Requests are NOT sorted: the responder walks them in order, and
+// permuting requests would permute the emitted responses.
+func encodeRequests(buf []byte, reqs []requestRec, wf WireFormat) []byte {
+	if wf == WireV1 {
+		for _, q := range reqs {
+			buf = appendRequest(buf, q.u, q.v, q.w)
+		}
+		return buf
+	}
+	buf = binary.AppendUvarint(buf, uint64(len(reqs)))
+	for _, q := range reqs {
+		buf = binary.AppendUvarint(buf, uint64(q.u))
+		buf = binary.AppendUvarint(buf, uint64(q.v))
+		buf = binary.AppendUvarint(buf, uint64(q.w))
+	}
+	return buf
+}
+
+// ---- round header ----------------------------------------------------------
+
+// headerWords is the number of uvarint words every exchanged frame
+// starts with. A rank sends the same header to every destination, so
+// after one Exchange every rank holds every rank's words and can reduce
+// them locally: sums and maxima that used to cost an Allreduce each.
+const headerWords = 2
+
+// appendHeader starts a frame with the sender's two header words.
+func appendHeader(buf []byte, h0, h1 int64) []byte {
+	buf = binary.AppendUvarint(buf, uint64(h0))
+	return binary.AppendUvarint(buf, uint64(h1))
+}
+
+// readHeader parses a frame's header and returns its words and the
+// offset of the record payload. ok=false flags a frame our encoder
+// cannot have produced: a truncated or overlong varint, or a word above
+// limit (the words are vertex and edge counts, so the caller knows a
+// bound no honest sender exceeds).
+func readHeader(buf []byte, limit uint64) (h [headerWords]int64, n int, ok bool) {
+	for i := range h {
+		w, next := readUvarint(buf, n)
+		if next == 0 || w > limit {
+			return h, 0, false
+		}
+		h[i], n = int64(w), next
+	}
+	return h, n, true
+}
+
 // wireRecordCount returns the record count of an encoded buffer without
-// decoding the records: the length quotient for v1, the header for v2.
-// Malformed v2 headers count as zero, matching the readers.
+// decoding the records: the length quotient for v1, the batch count for
+// v2. Malformed v2 counts read as zero, matching the readers. buf is a
+// record payload, round header already stripped.
 func wireRecordCount(buf []byte, kind recKind, wf WireFormat) int {
 	if wf == WireV1 {
 		if kind == relaxKind {

@@ -63,7 +63,7 @@ func requirePlanesEqual(t *testing.T, got, want *planeVersion, ranks int, label 
 		if !reflect.DeepEqual(gp.hist, wp.hist) {
 			t.Fatalf("%s: rank %d histograms diverge", label, r)
 		}
-		if gp.maxW != wp.maxW || gp.dd != wp.dd || gp.nLocal != wp.nLocal {
+		if gp.maxW != wp.maxW || gp.dd != wp.dd || gp.nLocal != wp.nLocal || gp.longTotal != wp.longTotal {
 			t.Fatalf("%s: rank %d plane scalars diverge", label, r)
 		}
 	}

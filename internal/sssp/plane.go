@@ -33,8 +33,9 @@ type rankGraph struct {
 	dd     graph.Dist // bucket width Δ
 	maxW   graph.Weight
 
-	shortEnd []int32 // per local vertex: first long-edge index in its adjacency
-	hist     []int32 // per-vertex cumulative weight histograms (EstimatorHistogram)
+	shortEnd  []int32 // per local vertex: first long-edge index in its adjacency
+	longTotal int64   // Σ over local vertices of their long-edge count (degree − shortEnd)
+	hist      []int32 // per-vertex cumulative weight histograms (EstimatorHistogram)
 
 	step   stepper      // the stepping discipline over this plane; see policy.go
 	radius []graph.Dist // per local vertex: Radius Stepping r(v) (PolicyRadius only)
@@ -71,6 +72,7 @@ func newRankGraph(g *graph.Graph, pd partition.Dist, rank int,
 		} else {
 			p.shortEnd[li] = int32(g.Degree(v))
 		}
+		p.longTotal += p.longDeg(uint32(li))
 	}
 	p.buildRadii(nil, nil)
 	if opts.Prune && opts.Estimator == EstimatorHistogram {
@@ -136,9 +138,9 @@ func (p *rankGraph) buildRadii(prev []graph.Dist, touchedLocal []int) {
 // safe). The one global input is maxW: a changed maximum edge weight
 // moves every histogram bin boundary, so that (rare) case rebuilds the
 // histograms in full. g must differ from prev.g only at the touched
-// vertices' rows; maxW must be g's maximum edge weight. Cost is
-// O(touched + nLocal copy) per rank instead of newRankGraph's
-// O(nLocal · log deg) row reclassification.
+// vertices' rows, each listed once; maxW must be g's maximum edge
+// weight. Cost is O(touched + nLocal copy) per rank instead of
+// newRankGraph's O(nLocal · log deg) row reclassification.
 //
 // Like newRankGraph, this is a sanctioned rankGraph constructor: the
 // planepurity analyzer allows its field writes and forbids everyone
@@ -170,17 +172,20 @@ func newRankGraphPatched(prev *rankGraph, g *graph.Graph, touched []graph.Vertex
 		}
 	}
 	p.buildRadii(prev.radius, local)
+	p.longTotal = prev.longTotal
 	if len(local) == 0 {
 		p.shortEnd = prev.shortEnd
 	} else {
 		p.shortEnd = append([]int32(nil), prev.shortEnd...)
 		for _, li := range local {
 			v := prev.pd.Global(p.rank, li)
+			p.longTotal -= prev.longDeg(uint32(li))
 			if p.opts.EdgeClassification {
 				p.shortEnd[li] = int32(p.step.shortEdgeEnd(g, v))
 			} else {
 				p.shortEnd[li] = int32(g.Degree(v))
 			}
+			p.longTotal += p.longDeg(uint32(li))
 		}
 	}
 	switch {
@@ -206,6 +211,11 @@ func (p *rankGraph) local(v graph.Vertex) int { return p.pd.LocalIndex(v) }
 // global returns the global id of local index li.
 func (p *rankGraph) global(li uint32) graph.Vertex {
 	return p.pd.Global(p.rank, int(li))
+}
+
+// longDeg returns the number of long edges of local vertex li.
+func (p *rankGraph) longDeg(li uint32) int64 {
+	return int64(p.g.Degree(p.global(li))) - int64(p.shortEnd[li])
 }
 
 // bucketEnd returns the largest distance the policy files under key k.

@@ -13,9 +13,9 @@ import (
 //	M = min over unsettled reached v of d(v) + r(v)
 //
 // by Allreduce-Min, relaxes the full adjacency of every unsettled vertex
-// with d(v) ≤ M to a fixpoint (Allreduce-Sum active counts, exactly the
-// short-phase discipline of the Δ engine), and then settles everything
-// at or below M.
+// with d(v) ≤ M to a fixpoint (relaxRounds, exactly the short-phase
+// discipline of the Δ engine), and then settles everything at or below
+// M.
 //
 // Soundness of the settle condition: any vertex with final distance ≤ M
 // lies on a shortest path whose prefix distances are all ≤ M
@@ -104,32 +104,13 @@ func (r *queryState) radiusEpoch(M graph.Dist) error {
 	r.charge(bktStart, true)
 
 	before := r.relaxTotals()
-	for {
-		r.reduceVal[0] = int64(len(r.active))
-		av, err := r.allreduce(r.reduceVal[:1], comm.Sum, true)
-		if err != nil {
-			return err
-		}
-		if av[0] == 0 {
-			break
-		}
-		r.stats.Phases++
-		bs.ShortPhases++
-		phaseStart := now()
-		beforePhase := r.relaxTotals()
-		nActive := len(r.active)
-		items := r.buildItems(r.active)
-		r.runWorkers(items, r.radiusRelaxFn())
-		in, err := r.exchangeRecords(relaxKind)
-		if err != nil {
-			return err
-		}
-		if err := r.applyRelaxIn(in, true, nil); err != nil {
-			return err
-		}
-		r.logPhase(int64(M), PhaseRadius, nActive, beforePhase, phaseStart)
-		r.active, r.nextActive = r.nextActive, r.active[:0]
+	rounds, err := r.relaxRounds(roundSpec{
+		scan: r.radiusRelaxFn(), activate: true, log: true, kind: PhaseRadius, key: int64(M)})
+	if err != nil {
+		return err
 	}
+	r.stats.Phases += rounds
+	bs.ShortPhases = int(rounds)
 	bs.ShortRelax = r.relaxTotals().Total() - before.Total()
 
 	// Settle scan: everything at or below the threshold is final.
@@ -163,11 +144,12 @@ func (r *queryState) radiusRelaxFn() func(tid int, it workItem) {
 			du := r.dist[it.li]
 			nbr, ws := r.g.Neighbors(v)
 			cnt := &r.tcnt[tid]
+			st := &r.stage[tid]
 			for i := it.lo; i < it.hi; i++ {
 				cnt.RadiusPush++
 				nd := du + graph.Dist(ws[i])
 				dst := r.pd.Owner(nbr[i])
-				r.tbufs[tid][dst] = appendRelax(r.tbufs[tid][dst], nbr[i], tagParent(v, ws[i]), nd)
+				st.relax[dst] = append(st.relax[dst], relaxRec{nbr[i], tagParent(v, ws[i]), nd})
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package sssp
 
 import (
-	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -36,21 +35,36 @@ type queryState struct {
 	mark       []int64 // stamp array deduplicating nextActive
 	stamp      int64
 
-	// Per-thread outgoing buffers and counters; index [thread][dest].
-	// tbufs hold v1-staged records; exchangeRecords either ships them as
-	// gathered segments (WireV1) or re-encodes them (WireV2).
-	tbufs      [][][]byte
+	// Per-thread emission staging and counters; index [thread]. Scans
+	// append typed records per destination rank; exchangeRecords encodes
+	// the lists bound for other ranks and the apply paths read this
+	// rank's own list in place (the rank-local fast path).
+	stage      []threadStage
 	tcnt       []RelaxCounts
-	out        [][]byte   // per-dest encoded buffers of the WireV2 path
-	outSegs    [][][]byte // per-dest segment lists of the WireV1 path
-	relaxRecs  []relaxRec // decoded-batch scratch of the WireV2 encoder
+	out        [][]byte           // per-dest encoded frames (header + records)
+	in         [][]byte           // per-source record payloads of the last exchange, headers stripped
+	hdrSum     [headerWords]int64 // last exchange's header words summed over all ranks
+	hdrMax     [headerWords]int64 // ... and their per-rank maxima
+	relaxRecs  []relaxRec         // thread-major merge scratch of the encoder (Threads > 1)
+	reqRecs    []requestRec       // ... and its request twin
 	sorter     relaxSorter
 	members    []uint32 // bucket-member scratch of collectMembers
 	requesters []uint32 // requester scratch of the pull phase
 	items      []workItem
-	scratch    []byte         // copy of self-delivered buffers when re-emitting (pull responses)
-	applyStage []applyStaging // per-thread staging for the parallel apply path
+	applyStage []applyStaging // per-thread output of an apply pass
 	reduceVal  [2]int64       // input scratch of small allreduces
+	gatherVal  []int64        // input scratch of the per-rank-slot allreduce (decideMode)
+
+	// unreachedLong is Σ long-degree over local vertices still at
+	// distance Inf: the part of the pull-cost estimate that would
+	// otherwise need a scan of every local vertex each epoch. reset sets
+	// it to the plane's total and every first reach of a vertex (source
+	// seeding, the apply pass) subtracts that vertex's share; it is
+	// meaningful from reset to the end of run, which is the only time
+	// decideMode reads it.
+	unreachedLong int64
+	pushSum       int64 // Σ / max over ranks of the epoch's long-edge push
+	pushMax       int64 // volume, published on the settle exchange's header
 
 	// Persistent worker pool. Phase scans dispatch to these long-lived
 	// goroutines instead of spawning per phase: the per-phase goroutine
@@ -78,12 +92,12 @@ type queryState struct {
 
 	// Asynchronous execution scratch (ExecMode async; see async.go).
 	// Allocated lazily by the first async run on this state.
-	pending       []bool      // vertex is queued for an async short-edge round
-	longPending   []bool      // vertex has a deferred async long-edge relax
-	longStore     bucketStore // deferred long-edge queue, keyed like store
-	asyncStage    [][]byte    // per-dest staged v1 records awaiting a watermark
-	asyncStageAt  []time.Time // stage time of each dest's oldest staged record
-	asyncFlushBuf []byte      // wire-encoding scratch of async flushes
+	pending       []bool       // vertex is queued for an async short-edge round
+	longPending   []bool       // vertex has a deferred async long-edge relax
+	longStore     bucketStore  // deferred long-edge queue, keyed like store
+	asyncStage    [][]relaxRec // per-dest staged records awaiting a watermark
+	asyncStageAt  []time.Time  // stage time of each dest's oldest staged record
+	asyncFlushBuf []byte       // wire-encoding scratch of async flushes
 
 	settledTotal int64
 	epochSeq     int // epoch ordinal (for DecisionSequence)
@@ -96,6 +110,13 @@ type queryState struct {
 type workItem struct {
 	li     uint32
 	lo, hi int32
+}
+
+// threadStage is one scan thread's staged output: typed records per
+// destination rank, the scanning rank's own slot included.
+type threadStage struct {
+	relax [][]relaxRec
+	req   [][]requestRec
 }
 
 // newQueryState allocates the mutable query plane of one rank over the
@@ -127,12 +148,19 @@ func newQueryState(plane *rankGraph, t comm.Transport) (*queryState, error) {
 	}
 	r.store = newBucketStore()
 	T := r.opts.threads()
-	r.tbufs = make([][][]byte, T)
-	for i := range r.tbufs {
-		r.tbufs[i] = make([][]byte, r.size)
+	r.stage = make([]threadStage, T)
+	for i := range r.stage {
+		r.stage[i] = threadStage{
+			relax: make([][]relaxRec, r.size),
+			req:   make([][]requestRec, r.size),
+		}
 	}
 	r.tcnt = make([]RelaxCounts, T)
+	r.applyStage = make([]applyStaging, T)
 	r.out = make([][]byte, r.size)
+	r.in = make([][]byte, r.size)
+	r.gatherVal = make([]int64, r.size)
+	r.unreachedLong = r.longTotal
 	return r, nil
 }
 
@@ -160,10 +188,13 @@ func newRankEngine(g *graph.Graph, pd partition.Dist, src graph.Vertex,
 	return qs, nil
 }
 
-// tracef writes an execution-trace line; only rank 0 emits, so the
-// writer needs no synchronization.
+// tracing reports whether this rank emits execution-trace lines: only
+// rank 0 does, so the writer needs no synchronization.
+func (r *queryState) tracing() bool { return r.rank == 0 && r.opts.Trace != nil }
+
+// tracef writes an execution-trace line on the tracing rank.
 func (r *queryState) tracef(format string, args ...interface{}) {
-	if r.rank != 0 || r.opts.Trace == nil {
+	if !r.tracing() {
 		return
 	}
 	fmt.Fprintf(r.opts.Trace, format+"\n", args...)
@@ -178,113 +209,98 @@ func (r *queryState) allreduce(vals []int64, op comm.ReduceOp, bucketOverhead bo
 	return res, err
 }
 
-// exchangeRecords runs the superstep's all-to-all over the per-thread
-// staging buffers and maintains the record-level traffic counters (the
+// exchangeRecords runs the superstep's all-to-all over the staged records
+// of the given kind and maintains the record-level traffic counters (the
 // transport wrapper cannot see record boundaries, so the engine counts).
 //
-// WireV1 ships the staging buffers as gathered segments — the transport
-// consumes them directly, so the historical per-dest concatenation copy
-// (the old mergeBuffers) is gone. WireV2 decodes the staged records,
-// sorts relax batches by destination vertex, and re-encodes them
-// compactly into pooled per-dest buffers; see msg.go for the codec.
-func (r *queryState) exchangeRecords(kind recKind) ([][]byte, error) {
+// Every frame to another rank starts with this rank's header words h0,
+// h1; the received headers are validated, stripped and reduced into
+// hdrSum/hdrMax (this rank's own words included), so a site that needs a
+// machine-wide sum or maximum of a per-rank count gets it from the
+// exchange it runs anyway. What the words mean is the call site's
+// business; sites with nothing to say pass zeros. The returned payloads
+// are indexed by source rank and hold records only; the slot of this
+// rank is empty — its own records never leave the staging lists, and
+// the consumers (applyRelaxIn, respondRequests) read them there, at this
+// rank's position in the source order.
+func (r *queryState) exchangeRecords(kind recKind, h0, h1 int64) ([][]byte, error) {
 	start := now()
 	defer r.charge(start, false)
-	wf := r.opts.WireFormat
-	var in [][]byte
-	var err error
-	if wf == WireV1 {
-		in, err = r.t.ExchangeV(r.gatherSegs(kind))
-	} else {
-		r.encodeOut(kind)
-		in, err = r.t.Exchange(r.out)
-	}
+	r.encodeOut(kind, h0, h1)
+	in, err := r.t.Exchange(r.out)
 	if err != nil {
 		return nil, err
 	}
+	r.hdrSum = [headerWords]int64{h0, h1}
+	r.hdrMax = r.hdrSum
+	// Header words are vertex or adjacency-entry counts of one rank.
+	limit := uint64(2*r.g.NumEdges()) + uint64(r.pd.NumVertices())
+	wf := r.opts.WireFormat
 	for src, buf := range in {
 		if src == r.rank {
-			continue
+			continue // nothing was sent: r.in[rank] stays empty
 		}
-		r.t.Stats.RecordsReceived += int64(wireRecordCount(buf, kind, wf))
-	}
-	return in, nil
-}
-
-// gatherSegs assembles the per-dest segment lists of the WireV1 path from
-// the non-empty staging buffers (thread-major, matching the historical
-// concatenation order) and counts the records sent to other ranks.
-func (r *queryState) gatherSegs(kind recKind) [][][]byte {
-	if r.outSegs == nil {
-		r.outSegs = make([][][]byte, r.size)
-	}
-	recSize := relaxRecordSize
-	if kind == requestKind {
-		recSize = requestRecordSize
-	}
-	for dest := 0; dest < r.size; dest++ {
-		segs := r.outSegs[dest][:0]
-		total := 0
-		for tid := range r.tbufs {
-			if b := r.tbufs[tid][dest]; len(b) > 0 {
-				segs = append(segs, b)
-				total += len(b)
+		h, n, ok := readHeader(buf, limit)
+		if !ok {
+			return nil, r.corruptErr(src, "header", errMalformedPayload)
+		}
+		for i, w := range h {
+			r.hdrSum[i] += w
+			if w > r.hdrMax[i] {
+				r.hdrMax[i] = w
 			}
 		}
-		r.outSegs[dest] = segs
-		if dest != r.rank {
-			r.t.Stats.RecordsSent += int64(total / recSize)
-		}
+		r.in[src] = buf[n:]
+		r.t.Stats.RecordsReceived += int64(wireRecordCount(r.in[src], kind, wf))
 	}
-	return r.outSegs
+	return r.in, nil
 }
 
-// encodeOut re-encodes the staged records into r.out with the v2 codec
-// and counts the records sent to other ranks. Relax batches are stably
-// sorted by destination vertex for the delta encoding; request batches
-// keep emission order (see encodeRequestBatch).
-func (r *queryState) encodeOut(kind recKind) {
+// encodeOut builds the frame for every other rank in r.out: the round
+// header, then that destination's staged records merged thread-major
+// (the order a single thread would have emitted them in, which the
+// first-wins parent choice on zero-weight ties depends on) and encoded
+// in the configured wire format — relax batches stably sorted by
+// destination vertex under v2 for the delta encoding, requests in
+// emission order. Counts the records sent to other ranks.
+func (r *queryState) encodeOut(kind recKind, h0, h1 int64) {
+	wf := r.opts.WireFormat
 	for dest := 0; dest < r.size; dest++ {
-		buf := r.out[dest][:0]
-		var sent int64
+		if dest == r.rank {
+			continue // applied from the staging lists; r.out[rank] stays empty
+		}
+		buf := appendHeader(r.out[dest][:0], h0, h1)
 		if kind == relaxKind {
-			recs := r.relaxRecs[:0]
-			for tid := range r.tbufs {
-				src := r.tbufs[tid][dest]
-				n := numRelaxRecords(src)
-				for i := 0; i < n; i++ {
-					v, par, d := decodeRelax(src, i)
-					recs = append(recs, relaxRec{v, par, d})
+			recs := r.stage[0].relax[dest]
+			if len(r.stage) > 1 {
+				recs = r.relaxRecs[:0]
+				for tid := range r.stage {
+					recs = append(recs, r.stage[tid].relax[dest]...)
 				}
+				r.relaxRecs = recs
 			}
-			r.relaxRecs = recs
-			sortRelaxBatch(&r.sorter, recs)
-			buf = encodeRelaxBatch(buf, recs)
-			sent = int64(len(recs))
+			if len(recs) > 0 { // an empty payload is an empty batch in either format
+				if wf == WireV2 {
+					sortRelaxBatch(&r.sorter, recs) // in place: the staging is consumed here
+				}
+				buf = encodeRelax(buf, recs, wf)
+				r.t.Stats.RecordsSent += int64(len(recs))
+			}
 		} else {
-			// Requests: count first (the batch header), then encode the
-			// staged buffers in thread-major order, unsorted.
-			total := 0
-			for tid := range r.tbufs {
-				total += numRequestRecords(r.tbufs[tid][dest])
-			}
-			buf = binary.AppendUvarint(buf, uint64(total))
-			for tid := range r.tbufs {
-				src := r.tbufs[tid][dest]
-				n := numRequestRecords(src)
-				for i := 0; i < n; i++ {
-					u, v, w := decodeRequest(src, i)
-					buf = binary.AppendUvarint(buf, uint64(u))
-					buf = binary.AppendUvarint(buf, uint64(v))
-					buf = binary.AppendUvarint(buf, uint64(w))
+			reqs := r.stage[0].req[dest]
+			if len(r.stage) > 1 {
+				reqs = r.reqRecs[:0]
+				for tid := range r.stage {
+					reqs = append(reqs, r.stage[tid].req[dest]...)
 				}
+				r.reqRecs = reqs
 			}
-			sent = int64(total)
+			if len(reqs) > 0 {
+				buf = encodeRequests(buf, reqs, wf)
+				r.t.Stats.RecordsSent += int64(len(reqs))
+			}
 		}
 		r.out[dest] = buf
-		if dest != r.rank {
-			r.t.Stats.RecordsSent += sent
-		}
 	}
 }
 
@@ -331,8 +347,9 @@ func (r *queryState) buildItems(verts []uint32) []workItem {
 	return items
 }
 
-// runWorkers executes fn over items with the rank's thread pool. fn must
-// only touch thread-local buffers (tbufs[tid], tcnt[tid]).
+// runWorkers executes fn over items with the rank's thread pool, after
+// emptying every thread's staging lists. fn must only touch thread-local
+// state (stage[tid], tcnt[tid]).
 //
 // Batches are assigned statically and cyclically: batch b belongs to
 // thread b mod T. The item→thread mapping is therefore a pure function
@@ -346,11 +363,7 @@ func (r *queryState) runWorkers(items []workItem, fn func(tid int, it workItem))
 	start := now()
 	defer r.charge(start, false)
 	T := r.opts.threads()
-	for tid := 0; tid < T; tid++ {
-		for dest := range r.tbufs[tid] {
-			r.tbufs[tid][dest] = r.tbufs[tid][dest][:0]
-		}
-	}
+	r.clearStage()
 	if T == 1 || len(items) == 0 {
 		for _, it := range items {
 			fn(0, it)
@@ -409,6 +422,33 @@ func (r *queryState) stopWorkers() {
 	r.workDone = nil
 }
 
+// clearStage empties every thread's staging lists.
+func (r *queryState) clearStage() {
+	for tid := range r.stage {
+		st := &r.stage[tid]
+		for dest := range st.relax {
+			st.relax[dest] = st.relax[dest][:0]
+			st.req[dest] = st.req[dest][:0]
+		}
+	}
+}
+
+// stagedRelax returns the number of relax records staged for dest, or
+// for every rank when dest < 0.
+func (r *queryState) stagedRelax(dest int) int {
+	n := 0
+	for tid := range r.stage {
+		if dest >= 0 {
+			n += len(r.stage[tid].relax[dest])
+			continue
+		}
+		for _, recs := range r.stage[tid].relax {
+			n += len(recs)
+		}
+	}
+	return n
+}
+
 // relaxTotals sums the per-thread relaxation counters.
 func (r *queryState) relaxTotals() RelaxCounts {
 	var sum RelaxCounts
@@ -416,147 +456,6 @@ func (r *queryState) relaxTotals() RelaxCounts {
 		sum.Add(r.tcnt[i])
 	}
 	return sum
-}
-
-// ---- record application ----------------------------------------------------
-
-// applyRelaxIn applies every relax record in the received buffers.
-// activate controls whether improved vertices landing in the current
-// bucket join the next phase's active set (short phases) — long-phase
-// results can never land in the current bucket and pass false. census, if
-// non-nil, receives the self/backward/forward categorization of each
-// record relative to bucket k.
-//
-// Parent election is canonical: a strict distance improvement takes the
-// sender as parent, and a positive-weight record matching the current
-// distance takes the sender if its id is smaller than the incumbent's.
-// For graphs with strictly positive weights the final parent of v is
-// therefore min{u : d(u)+w(u,v) = d(v), u offered} — a pure function of
-// the final distances and the offered candidate set, independent of the
-// schedule that delivered the offers. That is what lets an incremental
-// repair (dynamic.go), which re-relaxes only the affected subgraph in a
-// completely different phase order, reproduce a from-scratch run's
-// parent tree byte for byte. Zero-weight offers are excluded from the
-// equal-distance election (the wire tags them — see tagParent): inside a
-// cluster of equal-distance vertices joined by zero-weight edges, a
-// pointwise min-id election can elect parents that form a cycle. They
-// still win on strict improvement, first-wins, so zero-weight-tie
-// parents stay schedule-dependent — a valid tree always, byte-equal to
-// a recompute only when no zero-weight tie is involved.
-//
-// The tree stays acyclic in all cases: an equality reassignment needs
-// positive weight, so it points strictly downhill in distance, and a
-// cycle would need every hop distance-flat — all zero-weight strict
-// assignments, whose settle-time ordering already forbids a cycle. See
-// DESIGN.md "Wire format v2" and "Dynamic updates & plane versioning".
-//
-// With ParallelApply enabled (and no census, which needs exact serial
-// counting), application runs on the rank's thread pool using the
-// paper's intra-node ownership model: local vertex li belongs to thread
-// li mod T, every thread scans all records but applies only its own
-// vertices, so per-vertex state is written without locks — the role the
-// L2 atomics played on Blue Gene/Q.
-//
-// Damaged input is an error, not a panic and not data loss: a record
-// addressing a vertex this rank does not own, or a buffer the readers
-// flag as malformed, fails the query (the sender cannot have produced
-// it, so the frame was damaged in flight). Distances already applied
-// from the buffer's valid prefix are left in place — the query is failed
-// wholesale, nothing reads them.
-func (r *queryState) applyRelaxIn(in [][]byte, activate bool, census *BucketStats) error {
-	start := now()
-	defer r.charge(start, false)
-	r.stamp++
-	wf := r.opts.WireFormat
-	if T := r.opts.threads(); r.opts.ParallelApply && census == nil && T > 1 &&
-		totalWireRecords(in, relaxKind, wf) >= parallelApplyThreshold {
-		return r.applyRelaxParallel(in, activate, T)
-	}
-	k := r.curK
-	for src, buf := range in {
-		rd := newRelaxReader(buf, wf)
-		for {
-			v, tpar, nd, ok := rd.next()
-			if !ok {
-				break
-			}
-			par, zw := untagParent(tpar)
-			li := r.local(v)
-			if uint(li) >= uint(r.nLocal) {
-				return r.corruptErr(src, "relax", fmt.Errorf("vertex %d is not owned by this rank", v))
-			}
-			if census != nil {
-				switch b := r.bucketOf[li]; {
-				case b == k:
-					census.SelfEdges++
-				case b < k:
-					census.BackwardEdges++
-				default:
-					census.ForwardEdges++
-				}
-			}
-			if nd >= r.dist[li] {
-				// Positive-weight equal-distance offers still compete for
-				// the parent slot (canonical min-id election); they never
-				// move the vertex.
-				if nd == r.dist[li] && nd < graph.Inf && !zw && par < r.parent[li] && v != r.src {
-					r.parent[li] = par
-				}
-				continue
-			}
-			r.dist[li] = nd
-			r.parent[li] = par
-			if r.hybridMode {
-				if r.mark[li] != r.stamp {
-					r.mark[li] = r.stamp
-					r.nextActive = append(r.nextActive, uint32(li))
-				}
-				continue
-			}
-			// Policy bookkeeping: how an improved vertex re-enters the
-			// frontier. Δ-stepping re-files by bucket and activates
-			// current-bucket landings; Radius activates anything under the
-			// epoch threshold (no store); ρ re-files by quantized key under
-			// the async mode's re-entrant pending discipline.
-			switch r.opts.Policy {
-			case PolicyRadius:
-				if activate && nd <= r.phBound && r.mark[li] != r.stamp {
-					r.mark[li] = r.stamp
-					r.nextActive = append(r.nextActive, uint32(li))
-				}
-			case PolicyRho:
-				nb := r.step.key(nd)
-				moved := nb != r.bucketOf[li]
-				r.bucketOf[li] = nb
-				if !r.pending[li] {
-					r.pending[li] = true
-					r.store.add(nb, uint32(li))
-				} else if moved {
-					r.store.add(nb, uint32(li))
-				}
-			default:
-				nb := nd / r.dd
-				if nb != r.bucketOf[li] {
-					r.bucketOf[li] = nb
-					r.store.add(nb, uint32(li))
-				}
-				if activate && nb == k && r.mark[li] != r.stamp {
-					r.mark[li] = r.stamp
-					r.nextActive = append(r.nextActive, uint32(li))
-				}
-			}
-		}
-		if err := rd.err(); err != nil {
-			return r.corruptErr(src, "relax", err)
-		}
-	}
-	return nil
-}
-
-// corruptErr builds the query-failing error for a damaged exchange
-// payload from rank src.
-func (r *queryState) corruptErr(src int, kind string, cause error) error {
-	return fmt.Errorf("sssp: rank %d: corrupt %s payload from rank %d: %w", r.rank, kind, src, cause)
 }
 
 // ---- main loop ---------------------------------------------------------
@@ -574,21 +473,17 @@ func (r *queryState) run() error {
 		return r.runRho()
 	}
 	totalStart := now()
-	localMin := int64(infBucket)
 	if r.pd.Owner(r.src) == r.rank {
 		li := uint32(r.local(r.src))
 		r.dist[li] = 0
 		r.parent[li] = r.src
 		r.bucketOf[li] = 0
 		r.store.add(0, li)
-		localMin = 0
+		r.unreachedLong -= r.longDeg(li)
 	}
-	r.reduceVal[0] = localMin
-	kv, err := r.allreduce(r.reduceVal[:1], comm.Min, true)
-	if err != nil {
-		return err
-	}
-	k := kv[0]
+	// The source sits at distance 0, so the first non-empty bucket is 0
+	// on every machine: no collective needed to agree on it.
+	k := int64(0)
 	n := int64(r.g.NumVertices())
 
 	r.tracef("sssp: start source=%d ranks=%d delta=%d", r.src, r.size, r.opts.Delta)
@@ -602,22 +497,8 @@ func (r *queryState) run() error {
 		}
 		r.stats.Epochs++
 		r.epochSeq++
-
-		// Account settled vertices (bucket k's final members) and drop the
-		// bucket.
-		bktStart := now()
-		settledLocal := r.store.countValid(k, r.bucketOf)
-		r.store.drop(k)
-		r.charge(bktStart, true)
-		r.reduceVal[0] = settledLocal
-		sv, err := r.allreduce(r.reduceVal[:1], comm.Sum, true)
-		if err != nil {
-			return err
-		}
-		r.settledTotal += sv[0]
-		if len(r.stats.Buckets) > 0 {
+		if r.tracing() { // guarded: boxing the arguments allocates per epoch
 			bs := &r.stats.Buckets[len(r.stats.Buckets)-1]
-			bs.Settled = r.settledTotal
 			r.tracef("epoch bucket=%d mode=%s shortPhases=%d settled=%d",
 				bs.Index, bs.Mode, bs.ShortPhases, bs.Settled)
 		}
@@ -631,7 +512,8 @@ func (r *queryState) run() error {
 			break
 		}
 
-		bktStart = now()
+		bktStart := now()
+		r.store.drop(k)
 		localNext := r.store.nextNonEmpty(k, r.bucketOf)
 		r.charge(bktStart, true)
 		r.reduceVal[0] = localNext
@@ -681,56 +563,120 @@ func (r *queryState) collectMembers(k int64) []uint32 {
 	return members
 }
 
-// processEpoch settles bucket k: short-edge phases to a fixpoint, then
-// the long-edge phase.
+// processEpoch settles bucket k: short-edge rounds to a fixpoint, the
+// settle exchange, then the long-edge phase.
 func (r *queryState) processEpoch(k int64) error {
 	bs := BucketStats{Index: k, Mode: ModePush}
-	// Copy out of the shared scratch: r.active survives into the phase
-	// loop's swap chain, and longPhase calls collectMembers again.
+	// Copy out of the shared scratch: r.active survives into the round
+	// loop's swap chain, and collectMembers is called again below.
 	r.active = append(r.active[:0], r.collectMembers(k)...)
 
 	before := r.relaxTotals()
-	for {
-		r.reduceVal[0] = int64(len(r.active))
-		av, err := r.allreduce(r.reduceVal[:1], comm.Sum, true)
-		if err != nil {
-			return err
-		}
-		if av[0] == 0 {
-			break
-		}
-		r.stats.Phases++
-		bs.ShortPhases++
-		phaseStart := now()
-		beforePhase := r.relaxTotals()
-		nActive := len(r.active)
-		if err := r.shortPhase(k); err != nil {
-			return err
-		}
-		r.logPhase(k, PhaseShort, nActive, beforePhase, phaseStart)
-		r.active, r.nextActive = r.nextActive, r.active[:0]
+	r.phBEnd = r.bucketEnd(k)
+	rounds, err := r.relaxRounds(roundSpec{
+		scan: r.shortScan(), activate: true, log: true, kind: PhaseShort, key: k})
+	if err != nil {
+		return err
 	}
+	r.stats.Phases += rounds
+	bs.ShortPhases = int(rounds)
 	afterShort := r.relaxTotals()
 	bs.ShortRelax = afterShort.Total() - before.Total()
 
+	// The fixpoint made bucket k's membership final: nothing relaxed from
+	// here on can land in it (outer-short and long offers all exceed the
+	// bucket's end).
+	members := r.collectMembers(k)
+	if err := r.settleBucket(k, members); err != nil {
+		return err
+	}
 	if r.opts.EdgeClassification && !r.step.unbounded() {
-		if err := r.longPhase(k, &bs); err != nil {
+		if err := r.longPhase(k, members, &bs); err != nil {
 			return err
 		}
 	}
 	afterLong := r.relaxTotals()
 	bs.LongRelax = afterLong.Total() - afterShort.Total()
+	bs.Settled = r.settledTotal
 	r.stats.Buckets = append(r.stats.Buckets, bs)
 	return nil
 }
 
-// shortPhase relaxes the (inner) short edges of the active vertices and
-// applies the resulting updates.
-func (r *queryState) shortPhase(k int64) error {
-	r.phBEnd = r.bucketEnd(k)
+// roundSpec parameterizes relaxRounds for its three users: the
+// short-edge rounds of an epoch (and of a Radius threshold), the
+// post-switch Bellman-Ford stage, and the incremental repair's re-relax
+// rounds.
+type roundSpec struct {
+	scan     func(tid int, it workItem) // frontier scan staging relax records
+	activate bool                       // applyRelaxIn's activate
+	log      bool                       // rounds are timeline phases of kind/key
+	kind     PhaseKind
+	key      int64
+	// onRound, if set, sees each round's local active list before it is
+	// scanned (the repair tracks what moved).
+	onRound func(active []uint32)
+}
+
+// relaxRounds runs scan → stage → Exchange → apply rounds over r.active
+// until the machine is quiescent and returns the number of rounds that
+// had a globally non-empty active set — exactly the rounds the old
+// per-round active-count Allreduce would have admitted.
+//
+// Termination rides the exchange: each rank's header carries its active
+// count and the number of records it emitted this round (own-rank ones
+// included), so after the exchange every rank knows both machine-wide
+// sums. No active vertex anywhere means the previous round already was
+// the fixpoint and this one moved nothing: stop, uncounted. No emitted
+// record means nothing can be activated: stop after this (counted)
+// round without paying for an empty one. Records are applied only after
+// every rank's scan (Jacobi order), so which rounds exist, what each
+// scans and every relaxation counter are the same as under the
+// Allreduce schedule.
+func (r *queryState) relaxRounds(sp roundSpec) (int64, error) {
+	var rounds int64
+	for {
+		start := now()
+		before := r.relaxTotals()
+		nActive := len(r.active)
+		if sp.onRound != nil {
+			sp.onRound(r.active)
+		}
+		r.runWorkers(r.buildItems(r.active), sp.scan)
+		in, err := r.exchangeRecords(relaxKind, int64(nActive), int64(r.stagedRelax(-1)))
+		if err != nil {
+			return rounds, err
+		}
+		active, emitted := r.hdrSum[0], r.hdrSum[1]
+		// What the headers announce must cover what arrived: a damaged
+		// header that still parses must not end the loop early.
+		got := int64(totalWireRecords(in, relaxKind, r.opts.WireFormat) + r.stagedRelax(r.rank))
+		if got > emitted || (active == 0 && emitted != 0) {
+			return rounds, fmt.Errorf("sssp: rank %d: corrupt round headers: %d active, %d records announced, %d arrived",
+				r.rank, active, emitted, got)
+		}
+		if err := r.applyRelaxIn(in, sp.activate, nil); err != nil {
+			return rounds, err
+		}
+		if active == 0 {
+			return rounds, nil
+		}
+		rounds++
+		if sp.log {
+			r.logPhase(sp.key, sp.kind, nActive, before, start)
+		}
+		r.active, r.nextActive = r.nextActive, r.active[:0]
+		if emitted == 0 {
+			return rounds, nil
+		}
+	}
+}
+
+// shortScan lazily builds the short-phase scan: the (inner) short edges
+// of the active vertices. Built once per engine; it reads the phase bound
+// from r.phBEnd so the same closure serves every round without a
+// per-round allocation.
+func (r *queryState) shortScan() func(tid int, it workItem) {
 	if r.shortFn == nil {
-		// Built once per engine; reads the phase bound from r.phBEnd so the
-		// same closure serves every phase without a per-phase allocation.
 		ios := r.opts.IOS
 		r.shortFn = func(tid int, it workItem) {
 			v := r.global(it.li)
@@ -741,6 +687,7 @@ func (r *queryState) shortPhase(k int64) error {
 				end = se
 			}
 			cnt := &r.tcnt[tid]
+			st := &r.stage[tid]
 			for i := it.lo; i < end; i++ {
 				nd := du + graph.Dist(ws[i])
 				if ios && nd > r.phBEnd {
@@ -749,15 +696,9 @@ func (r *queryState) shortPhase(k int64) error {
 				}
 				cnt.ShortPush++
 				dst := r.pd.Owner(nbr[i])
-				r.tbufs[tid][dst] = appendRelax(r.tbufs[tid][dst], nbr[i], tagParent(v, ws[i]), nd)
+				st.relax[dst] = append(st.relax[dst], relaxRec{nbr[i], tagParent(v, ws[i]), nd})
 			}
 		}
 	}
-	items := r.buildItems(r.active)
-	r.runWorkers(items, r.shortFn)
-	in, err := r.exchangeRecords(relaxKind)
-	if err != nil {
-		return err
-	}
-	return r.applyRelaxIn(in, true, nil)
+	return r.shortFn
 }

@@ -89,7 +89,7 @@ func (r *queryState) rhoEpoch(k int64) error {
 	r.stats.Phases++
 	items := r.buildItems(members)
 	r.runWorkers(items, r.rhoRelaxFn())
-	in, err := r.exchangeRecords(relaxKind)
+	in, err := r.exchangeRecords(relaxKind, 0, 0)
 	if err != nil {
 		return err
 	}
@@ -140,11 +140,12 @@ func (r *queryState) rhoRelaxFn() func(tid int, it workItem) {
 			du := r.dist[it.li]
 			nbr, ws := r.g.Neighbors(v)
 			cnt := &r.tcnt[tid]
+			st := &r.stage[tid]
 			for i := it.lo; i < it.hi; i++ {
 				cnt.RhoPush++
 				nd := du + graph.Dist(ws[i])
 				dst := r.pd.Owner(nbr[i])
-				r.tbufs[tid][dst] = appendRelax(r.tbufs[tid][dst], nbr[i], tagParent(v, ws[i]), nd)
+				st.relax[dst] = append(st.relax[dst], relaxRec{nbr[i], tagParent(v, ws[i]), nd})
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package sssp
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -67,6 +68,21 @@ func (c PolicyCandidate) Apply(opts Options) Options {
 	return t
 }
 
+// incumbentCandidate names the configuration opts already is, in the
+// form Apply would reproduce it from.
+func incumbentCandidate(opts Options) PolicyCandidate {
+	c := PolicyCandidate{Policy: opts.Policy}
+	switch opts.Policy {
+	case PolicyRadius:
+		c.RadiusK = opts.RadiusK
+	case PolicyRho:
+		c.Rho = opts.Rho
+	default:
+		c.Delta = opts.Delta
+	}
+	return c
+}
+
 // validate rejects out-of-range candidate parameters.
 func (c PolicyCandidate) validate() error {
 	switch c.Policy {
@@ -97,10 +113,18 @@ type PolicyTrial struct {
 
 // PolicyTuneResult reports a cross-policy sweep.
 type PolicyTuneResult struct {
-	// Best is the fastest candidate.
+	// Best is the configuration to deploy: the sweep's fastest candidate,
+	// unless the closing head-to-head (Final) showed the caller's own
+	// configuration to be at least as fast.
 	Best PolicyCandidate
 	// Trials lists every candidate's measurement in sweep order.
 	Trials []PolicyTrial
+	// Final is the closing head-to-head: the sweep's winner measured
+	// again, then the incumbent — the caller's opts as given — measured
+	// the same way, back to back. Empty when there is nothing to verify:
+	// the incumbent is not a runnable configuration (a caller passing
+	// only policy-agnostic fields), or it is the sweep's winner itself.
+	Final []PolicyTrial
 }
 
 // TuneResult reports a Δ-only sweep (TuneDelta).
@@ -124,64 +148,125 @@ const tuneSlots = 4
 // classification, radii, quantums, histograms) depends on the policy and
 // its parameter, so each candidate builds its own QueryPool — but within
 // a candidate the root queries are independent and run concurrently over
-// the pool's slots. Each trial's mean is the batch wall-clock divided by
-// the root count: the throughput a pool deployment of that configuration
-// would see, which is the quantity a serving configuration wants tuned
-// (per-query latencies under concurrency include scheduler interleaving
-// and would double-count busy cores).
+// the pool's slots. Every measurement is one untimed warm-up pass over
+// the roots followed by one timed pass: a pool's first queries grow
+// every buffer from nothing, and timing them ranks candidates by their
+// cold start rather than by the steady state a deployment runs in. Each
+// trial's mean is the timed pass's wall-clock divided by the root count:
+// the throughput a pool deployment of that configuration would see,
+// which is the quantity a serving configuration wants tuned (per-query
+// latencies under concurrency include scheduler interleaving and would
+// double-count busy cores).
+//
+// The sweep's winner is then re-measured against the incumbent — opts
+// exactly as the caller runs them today — and Best is the incumbent
+// unless the winner beat it in that head-to-head, so deploying Best is
+// never a step down from what the caller had (see PolicyTuneResult.Final).
 func TunePolicy(g *graph.Graph, numRanks int, roots []graph.Vertex,
 	opts Options, candidates []PolicyCandidate) (*PolicyTuneResult, error) {
 	if candidates == nil {
 		candidates = ShortlistPolicyCandidates(g)
 	}
-	if len(candidates) == 0 {
-		return nil, fmt.Errorf("sssp: TunePolicy needs at least one candidate")
+	deploy, err := poolDeployer(g, numRanks, roots)
+	if err != nil {
+		return nil, err
 	}
+	return tunePolicy(opts, candidates, len(roots), deploy, true)
+}
+
+// deployFunc stands up one configuration for measurement: pass runs
+// every root once over it, done tears it down. TunePolicy's is a
+// QueryPool; tests substitute a scripted one.
+type deployFunc func(trial Options) (pass func() error, done func() error, err error)
+
+// poolDeployer returns the deployFunc that measures a configuration on a
+// QueryPool, the roots running concurrently over its slots.
+func poolDeployer(g *graph.Graph, numRanks int, roots []graph.Vertex) (deployFunc, error) {
 	if len(roots) == 0 {
-		return nil, fmt.Errorf("sssp: TunePolicy needs at least one root")
+		return nil, fmt.Errorf("sssp: tuning needs at least one root")
 	}
 	slots := tuneSlots
 	if len(roots) < slots {
 		slots = len(roots)
 	}
+	return func(trial Options) (func() error, func() error, error) {
+		pool, err := NewQueryPool(g, numRanks, slots, trial)
+		if err != nil {
+			return nil, nil, err
+		}
+		pass := func() error {
+			errs := make([]error, len(roots))
+			var wg sync.WaitGroup
+			for i, root := range roots {
+				wg.Add(1)
+				go func(i int, root graph.Vertex) {
+					defer wg.Done()
+					_, errs[i] = pool.Query(root)
+				}(i, root)
+			}
+			wg.Wait()
+			return errors.Join(errs...)
+		}
+		return pass, pool.Close, nil
+	}, nil
+}
+
+// tunePolicy is the sweep and, when verify is set, the closing
+// head-to-head against the incumbent; see TunePolicy.
+func tunePolicy(opts Options, candidates []PolicyCandidate, nRoots int,
+	deploy deployFunc, verify bool) (*PolicyTuneResult, error) {
+	if len(candidates) == 0 {
+		return nil, fmt.Errorf("sssp: TunePolicy needs at least one candidate")
+	}
+	// measure deploys trial and returns its warm per-root mean: one
+	// untimed pass, then one timed pass.
+	measure := func(c PolicyCandidate, trial Options) (PolicyTrial, error) {
+		pass, done, err := deploy(trial)
+		if err != nil {
+			return PolicyTrial{}, fmt.Errorf("sssp: tuning %s: %w", c, err)
+		}
+		err = pass()
+		var batch time.Duration
+		if err == nil {
+			start := now()
+			err = pass()
+			batch = since(start)
+		}
+		if err = errors.Join(err, done()); err != nil {
+			return PolicyTrial{}, fmt.Errorf("sssp: tuning %s: %w", c, err)
+		}
+		return PolicyTrial{Candidate: c, Mean: batch / time.Duration(nRoots)}, nil
+	}
 	res := &PolicyTuneResult{Trials: make([]PolicyTrial, 0, len(candidates))}
-	bestTime := time.Duration(1<<63 - 1)
+	var best time.Duration
 	for _, c := range candidates {
 		if err := c.validate(); err != nil {
 			return nil, err
 		}
-		trial := c.Apply(opts)
-		pool, err := NewQueryPool(g, numRanks, slots, trial)
+		trial, err := measure(c, c.Apply(opts))
 		if err != nil {
-			return nil, fmt.Errorf("sssp: tuning %s: %w", c, err)
+			return nil, err
 		}
-		errs := make([]error, len(roots))
-		start := now()
-		var wg sync.WaitGroup
-		for i, root := range roots {
-			wg.Add(1)
-			go func(i int, root graph.Vertex) {
-				defer wg.Done()
-				_, errs[i] = pool.Query(root)
-			}(i, root)
+		if len(res.Trials) == 0 || trial.Mean < best {
+			best, res.Best = trial.Mean, c
 		}
-		wg.Wait()
-		batch := since(start)
-		cerr := pool.Close()
-		for _, err := range errs {
-			if err != nil {
-				return nil, fmt.Errorf("sssp: tuning %s: %w", c, err)
-			}
-		}
-		if cerr != nil {
-			return nil, fmt.Errorf("sssp: tuning %s: %w", c, cerr)
-		}
-		mean := batch / time.Duration(len(roots))
-		res.Trials = append(res.Trials, PolicyTrial{Candidate: c, Mean: mean})
-		if mean < bestTime {
-			bestTime = mean
-			res.Best = c
-		}
+		res.Trials = append(res.Trials, trial)
+	}
+	incumbent := incumbentCandidate(opts)
+	if !verify || opts.Validate() != nil || incumbent == res.Best {
+		return res, nil
+	}
+	winner, err := measure(res.Best, res.Best.Apply(opts))
+	if err != nil {
+		return nil, err
+	}
+	held, err := measure(incumbent, opts)
+	if err != nil {
+		return nil, err
+	}
+	res.Final = []PolicyTrial{winner, held}
+	if held.Mean <= winner.Mean {
+		res.Best = incumbent
 	}
 	return res, nil
 }
@@ -272,14 +357,17 @@ func TuneDelta(g *graph.Graph, numRanks int, roots []graph.Vertex,
 	if len(candidates) == 0 {
 		candidates = DefaultDeltaCandidates
 	}
-	if len(roots) == 0 {
-		return nil, fmt.Errorf("sssp: TuneDelta needs at least one root")
-	}
 	pcs := make([]PolicyCandidate, len(candidates))
 	for i, d := range candidates {
 		pcs[i] = PolicyCandidate{Policy: PolicyDelta, Delta: d}
 	}
-	pres, err := TunePolicy(g, numRanks, roots, opts, pcs)
+	deploy, err := poolDeployer(g, numRanks, roots)
+	if err != nil {
+		return nil, err
+	}
+	// No incumbent here: opts.Delta is only the carrier the candidates
+	// overwrite, and Best must come from the candidate grid.
+	pres, err := tunePolicy(opts, pcs, len(roots), deploy, false)
 	if err != nil {
 		return nil, err
 	}

@@ -66,19 +66,14 @@ func TestRelaxBatchRoundTrip(t *testing.T) {
 
 func TestRequestBatchRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	type req struct {
-		u, v graph.Vertex
-		w    graph.Weight
-	}
 	for trial := 0; trial < 100; trial++ {
 		n := rng.Intn(200)
-		reqs := make([]req, n)
-		var v1buf []byte
+		reqs := make([]requestRec, n)
 		for i := range reqs {
-			reqs[i] = req{graph.Vertex(rng.Uint32()), graph.Vertex(rng.Uint32()), graph.Weight(rng.Uint32())}
-			v1buf = appendRequest(v1buf, reqs[i].u, reqs[i].v, reqs[i].w)
+			reqs[i] = requestRec{graph.Vertex(rng.Uint32()), graph.Vertex(rng.Uint32()), graph.Weight(rng.Uint32())}
 		}
-		v2buf := encodeRequestBatch(nil, v1buf)
+		v1buf := encodeRequests(nil, reqs, WireV1)
+		v2buf := encodeRequests(nil, reqs, WireV2)
 		// Both formats must yield the same records in the same (emission)
 		// order: the responder's output order depends on it.
 		for _, tc := range []struct {
