@@ -34,7 +34,7 @@ lint: vet
 	go run ./cmd/parssspvet -baseline lint.baseline.json -audit-allows ./...
 
 # The benchmark's exact per-layer counts (relaxations, phases, epochs,
-# collective calls, records) on its two collective-bound workloads, once
+# collective calls, records, repair work) on all four workloads, once
 # through the tracing transport and once bare. The counts depend on the
 # seed and the code only; the harness exits non-zero when the traced and
 # bare replays disagree, a pass differs from the one before, or an answer
@@ -43,6 +43,8 @@ lint: vet
 perf-counts:
 	bash perf/run.sh --workload grid-lib --seed 1 --seconds 4 --trace 1
 	bash perf/run.sh --workload small-burst --seed 1 --seconds 4 --trace 1
+	bash perf/run.sh --workload rmat-serve --seed 1 --seconds 4 --trace 1
+	bash perf/run.sh --workload rmat-mixed --seed 1 --seconds 4 --trace 1
 
 bench:
 	go test -bench=. -benchmem .

@@ -95,6 +95,25 @@ func TestLoadModulePatterns(t *testing.T) {
 	}
 }
 
+// TestLoadHonorsBuildConstraints: per-platform twins of a declaration
+// load as go build would pick them (loadFixture fails on the type error
+// a collision would be), and a constrained-out package is skipped.
+func TestLoadHonorsBuildConstraints(t *testing.T) {
+	files := map[string]string{
+		"internal/one/f_yes.go":  "//go:build !parssspvet_never\n\npackage one\n\nfunc f() int { return 1 }\n",
+		"internal/one/f_no.go":   "//go:build parssspvet_never\n\npackage one\n\nfunc f() int { return 2 }\n",
+		"internal/two/plan9x.go": "//go:build parssspvet_never\n\npackage two\n",
+	}
+	pkgs := loadFixture(t, files)
+	if len(pkgs) != 1 || pkgs[0].Path != "parsssp/internal/one" {
+		var paths []string
+		for _, p := range pkgs {
+			paths = append(paths, p.Path)
+		}
+		t.Errorf("loaded %v, want [parsssp/internal/one]", paths)
+	}
+}
+
 // TestRepositoryIsClean runs the full suite over the real module — the
 // same gate CI applies via cmd/parssspvet: findings are filtered through
 // the committed baseline, anything beyond it fails, stale suppression

@@ -10,12 +10,15 @@ package lint
 // Test files (*_test.go) are deliberately excluded: external test
 // packages would need a second type-checking universe per directory, and
 // the invariants parssspvet enforces concern the shipped runtime, not the
-// test harnesses.
+// test harnesses. Files are selected as go build selects them for the
+// host platform (build constraints and _GOOS/_GOARCH name suffixes), so
+// per-platform twins of a declaration do not collide.
 
 import (
 	"errors"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -200,19 +203,24 @@ func hasGoFiles(dir string) bool {
 		return false
 	}
 	for _, e := range entries {
-		if !e.IsDir() && isSourceFile(e.Name()) {
+		if !e.IsDir() && isSourceFile(dir, e.Name()) {
 			return true
 		}
 	}
 	return false
 }
 
-// isSourceFile reports whether name is a buildable non-test Go file.
-func isSourceFile(name string) bool {
-	return strings.HasSuffix(name, ".go") &&
-		!strings.HasSuffix(name, "_test.go") &&
-		!strings.HasPrefix(name, ".") &&
-		!strings.HasPrefix(name, "_")
+// isSourceFile reports whether dir/name is a non-test Go file that go
+// build would compile on this platform.
+func isSourceFile(dir, name string) bool {
+	if !strings.HasSuffix(name, ".go") ||
+		strings.HasSuffix(name, "_test.go") ||
+		strings.HasPrefix(name, ".") ||
+		strings.HasPrefix(name, "_") {
+		return false
+	}
+	ok, err := build.Default.MatchFile(dir, name)
+	return ok || err != nil // an unreadable file fails loudly at parse time
 }
 
 // importPathOf maps an absolute package directory to its import path.
@@ -267,7 +275,7 @@ func (m *Module) load(path string) (*Package, error) {
 	var files []*ast.File
 	pkgNames := make(map[string]bool)
 	for _, e := range entries {
-		if e.IsDir() || !isSourceFile(e.Name()) {
+		if e.IsDir() || !isSourceFile(dir, e.Name()) {
 			continue
 		}
 		f, err := parser.ParseFile(m.fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments|parser.SkipObjectResolution)

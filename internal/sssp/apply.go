@@ -92,6 +92,12 @@ type applyPass struct {
 func (r *queryState) applyRelaxIn(in [][]byte, activate bool, census *BucketStats) error {
 	start := now()
 	defer r.charge(start, false)
+	return r.applyRecords(in, activate, census)
+}
+
+// applyRecords is applyRelaxIn without the clock. A nil in applies this
+// rank's own staged records alone (a local sub-round of relaxRounds).
+func (r *queryState) applyRecords(in [][]byte, activate bool, census *BucketStats) error {
 	r.stamp++
 	T := 1
 	if n := r.opts.threads(); r.opts.ParallelApply && census == nil && n > 1 &&
@@ -129,7 +135,7 @@ func (r *queryState) applyRelaxIn(in [][]byte, activate bool, census *BucketStat
 }
 
 // applyParallel runs one applyPass per staging slot concurrently. Kept
-// apart from applyRelaxIn so that the goroutine closure's captures do not
+// apart from applyRecords so that the goroutine closure's captures do not
 // move the serial path's locals to the heap.
 func (r *queryState) applyParallel(in [][]byte, stage []applyStaging, activate bool) {
 	var wg sync.WaitGroup
@@ -144,20 +150,20 @@ func (r *queryState) applyParallel(in [][]byte, stage []applyStaging, activate b
 	wg.Wait()
 }
 
-// run applies the superstep's records in source-rank order and leaves
-// the first damage it meets in st.err.
+// run applies the superstep's records in source-rank order (only this
+// rank's own when in is nil) and leaves the first damage it meets in
+// st.err.
 func (p *applyPass) run(in [][]byte) {
 	r := p.r
+	if in == nil {
+		p.own()
+		return
+	}
 	wf := r.opts.WireFormat
 	for src, buf := range in {
 		if src == r.rank {
-			for tid := range r.stage {
-				for _, rec := range r.stage[tid].relax[src] {
-					if !p.relax(rec.v, rec.parent, rec.dist) {
-						p.st.err = r.unownedErr(src, rec.v)
-						return
-					}
-				}
+			if !p.own() {
+				return
 			}
 			continue
 		}
@@ -177,6 +183,21 @@ func (p *applyPass) run(in [][]byte) {
 			return
 		}
 	}
+}
+
+// own applies this rank's own staged records, thread-major, and reports
+// whether all of them addressed vertices this rank owns.
+func (p *applyPass) own() bool {
+	r := p.r
+	for tid := range r.stage {
+		for _, rec := range r.stage[tid].relax[r.rank] {
+			if !p.relax(rec.v, rec.parent, rec.dist) {
+				p.st.err = r.unownedErr(r.rank, rec.v)
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // relax applies one record and reports whether its target is a vertex

@@ -1,5 +1,11 @@
 package sssp
 
+import (
+	"slices"
+
+	"parsssp/internal/graph"
+)
+
 // bucketStore holds each rank's bucket lists (local vertex indices keyed
 // by bucket index) with lazy deletion: when a vertex's tentative distance
 // improves it is appended to its new bucket's list, and the entry in the
@@ -165,14 +171,193 @@ func (s *bucketStore) drop(k int64) {
 }
 
 // reset clears the store for a new query, recycling all list storage.
-// Only the capacities of the recycled slices depend on the (map-ordered)
-// recycling order, never any computed result.
+// The recycled slices are ordered by capacity, so that which capacity
+// the next query's buckets get — and with it when an append has to grow
+// one — does not depend on the map's iteration order.
 func (s *bucketStore) reset() {
-	//parssspvet:allow nodeterminism -- storage recycling; order affects only slice capacities
+	n := len(s.free)
+	//parssspvet:allow nodeterminism -- storage recycling; the slices are sorted by capacity below
 	for k, l := range s.lists {
 		if cap(l) > 0 {
 			s.free = append(s.free, l)
 		}
 		delete(s.lists, k)
 	}
+	slices.SortFunc(s.free[n:], func(a, b []uint32) int { return cap(a) - cap(b) })
+}
+
+// subQueueSlots is the number of sub-buckets subQueue holds in its
+// window; keys further out wait in its overflow list.
+const subQueueSlots = 256
+
+// subQueue orders the locally activated vertices of one relaxRounds
+// round by distance sub-bucket (distance / width), lowest first. It is a
+// bucket queue over a window of subQueueSlots consecutive keys plus an
+// overflow list for keys past the window, which is redistributed when
+// the window runs empty — so memory stays bounded however far apart the
+// distances of a round's activations are. Keys never go below the one
+// being scanned (a scan only offers distances at or above the scanned
+// vertex's), so the window's cursor only moves forward.
+//
+// The lists are intrusive and doubly linked through per-vertex arrays:
+// a vertex that moves to a lower sub-bucket is unlinked from its old
+// one, every entry is live, and the queue allocates nothing after it is
+// built (out aside, which grows to the largest sub-bucket once). It is
+// empty between rounds; its storage serves every round of every query.
+type subQueue struct {
+	key        []int64 // per local vertex: its sub-bucket, or -1 when not queued
+	prev, succ []int32 // per local vertex: its list neighbours, -1 at the ends
+	// head[i] starts the list of sub-bucket base+i for i < subQueueSlots;
+	// head[subQueueSlots] is the overflow list.
+	head [subQueueSlots + 1]int32
+	base int64    // first key of the window
+	cur  int      // no window slot below cur holds a vertex
+	n    int      // vertices in the window
+	out  []uint32 // members of the last extraction
+}
+
+func newSubQueue(nLocal int) subQueue {
+	q := subQueue{
+		key:  make([]int64, nLocal),
+		prev: make([]int32, nLocal),
+		succ: make([]int32, nLocal),
+	}
+	q.reset()
+	return q
+}
+
+// slot returns the list that holds key k under the current window.
+func (q *subQueue) slot(k int64) int {
+	if i := k - q.base; i < subQueueSlots {
+		return int(i)
+	}
+	return subQueueSlots
+}
+
+func (q *subQueue) link(li uint32, s int) {
+	h := q.head[s]
+	q.prev[li], q.succ[li] = -1, h
+	if h >= 0 {
+		q.prev[h] = int32(li)
+	}
+	q.head[s] = int32(li)
+	if s < subQueueSlots {
+		q.n++
+	}
+}
+
+func (q *subQueue) unlink(li uint32, s int) {
+	p, nx := q.prev[li], q.succ[li]
+	if p >= 0 {
+		q.succ[p] = nx
+	} else {
+		q.head[s] = nx
+	}
+	if nx >= 0 {
+		q.prev[nx] = p
+	}
+	if s < subQueueSlots {
+		q.n--
+	}
+}
+
+// fill queues the vertices of list (an apply pass's activations) under
+// their current distances, moving those already queued. Into an empty
+// queue it anchors the window at the lowest of their sub-buckets.
+func (q *subQueue) fill(list []uint32, dist []graph.Dist, width graph.Dist) {
+	if len(list) == 0 {
+		return
+	}
+	if q.n == 0 && q.head[subQueueSlots] < 0 {
+		q.base, q.cur = dist[list[0]]/width, 0
+		for _, li := range list[1:] {
+			if k := dist[li] / width; k < q.base {
+				q.base = k
+			}
+		}
+	}
+	for _, li := range list {
+		k := dist[li] / width
+		if old := q.key[li]; old == k {
+			continue
+		} else if old >= 0 {
+			q.unlink(li, q.slot(old))
+		}
+		q.key[li] = k
+		q.link(li, q.slot(k))
+	}
+}
+
+// next removes and returns the vertices of the lowest non-empty
+// sub-bucket, or nothing when the queue is empty. The result aliases
+// queue-owned scratch, valid until the next call.
+func (q *subQueue) next() []uint32 {
+	if q.n == 0 && !q.refill() {
+		return nil
+	}
+	for q.head[q.cur] < 0 {
+		q.cur++
+	}
+	// The cursor stays: the members' scan may refill this sub-bucket.
+	q.out = q.collect(q.out[:0], q.cur)
+	return q.out
+}
+
+// refill moves the window to the lowest key of the overflow list and
+// pulls in what now falls inside it; false when the list is empty.
+func (q *subQueue) refill() bool {
+	far := q.head[subQueueSlots]
+	if far < 0 {
+		return false
+	}
+	base := q.key[far]
+	for li := far; li >= 0; li = q.succ[li] {
+		if q.key[li] < base {
+			base = q.key[li]
+		}
+	}
+	q.base, q.cur = base, 0
+	for li := far; li >= 0; {
+		nx := q.succ[li]
+		if s := q.slot(q.key[li]); s < subQueueSlots {
+			q.unlink(uint32(li), subQueueSlots)
+			q.link(uint32(li), s)
+		}
+		li = nx
+	}
+	return true
+}
+
+// collect empties list s into dst and returns the extended dst.
+func (q *subQueue) collect(dst []uint32, s int) []uint32 {
+	for li := q.head[s]; li >= 0; li = q.succ[li] {
+		q.key[li] = -1
+		dst = append(dst, uint32(li))
+		if s < subQueueSlots {
+			q.n--
+		}
+	}
+	q.head[s] = -1
+	return dst
+}
+
+// take empties the queue into dst and returns the extended dst.
+func (q *subQueue) take(dst []uint32) []uint32 {
+	for s := q.cur; s <= subQueueSlots; s++ {
+		dst = q.collect(dst, s)
+	}
+	q.cur = 0
+	return dst
+}
+
+// reset empties the queue, keeping its storage. A round always drains
+// it; reset matters only after a query that failed mid-round.
+func (q *subQueue) reset() {
+	for i := range q.key {
+		q.key[i] = -1
+	}
+	for i := range q.head {
+		q.head[i] = -1
+	}
+	q.n, q.cur = 0, 0
 }

@@ -240,6 +240,7 @@ func (r *queryState) reset(src graph.Vertex) {
 	}
 	r.store.reset()
 	r.longStore.reset()
+	r.lq.reset()
 	r.curK = 0
 	r.hybridMode = false
 	r.active = r.active[:0]

@@ -30,6 +30,12 @@ const (
 	PhaseRadius
 	// PhaseRho is one batched extraction round of the ρ-stepping policy.
 	PhaseRho
+	// PhaseLocal sums the rank-local sub-rounds of the round logged just
+	// before it (a short, Bellman-Ford or Radius round): the vertices its
+	// own records re-activated and their scans, which never met the
+	// exchange. Every such round logs one, possibly empty, so merged
+	// timelines stay aligned; its time is inside that round's Duration.
+	PhaseLocal
 )
 
 // String returns the phase kind name.
@@ -51,6 +57,8 @@ func (k PhaseKind) String() string {
 		return "radius"
 	case PhaseRho:
 		return "rho"
+	case PhaseLocal:
+		return "local"
 	default:
 		return fmt.Sprintf("PhaseKind(%d)", int(k))
 	}
@@ -68,6 +76,9 @@ type PhaseRecord struct {
 	// Relax is the number of relax operations (incl. requests/responses)
 	// the phase performed.
 	Relax int64
+	// Sent is the number of relax records a short, Bellman-Ford or
+	// Radius round sent to other ranks (zero on the other kinds).
+	Sent int64
 	// Duration is the wall-clock of the phase.
 	Duration time.Duration
 }
@@ -110,6 +121,7 @@ func mergePhaseLogs(out *Stats, ranks []*RankResult) {
 			}
 			out.PhaseLog[i].Active += log[i].Active
 			out.PhaseLog[i].Relax += log[i].Relax
+			out.PhaseLog[i].Sent += log[i].Sent
 			if log[i].Duration > out.PhaseLog[i].Duration {
 				out.PhaseLog[i].Duration = log[i].Duration
 			}

@@ -43,10 +43,14 @@ func TestPhaseLogTimeline(t *testing.T) {
 	}
 	// The timeline is finer-grained than Stats.Phases: the IOS outer-short
 	// pass of each epoch gets its own record while Phases counts the whole
-	// long-edge phase once.
-	if got, want := int64(len(log)), res.Stats.Phases+int64(kinds[PhaseOuterShort]); got != want {
-		t.Errorf("timeline has %d entries, want %d (phases %d + outer-short %d)",
-			got, want, res.Stats.Phases, kinds[PhaseOuterShort])
+	// long-edge phase once, and every short or Bellman-Ford round is
+	// followed by the record of its local sub-rounds.
+	if got, want := kinds[PhaseLocal], kinds[PhaseShort]+kinds[PhaseBellmanFord]; got != want {
+		t.Errorf("%d local records for %d short and Bellman-Ford rounds", got, want)
+	}
+	if got, want := int64(len(log)), res.Stats.Phases+int64(kinds[PhaseOuterShort]+kinds[PhaseLocal]); got != want {
+		t.Errorf("timeline has %d entries, want %d (phases %d + outer-short %d + local %d)",
+			got, want, res.Stats.Phases, kinds[PhaseOuterShort], kinds[PhaseLocal])
 	}
 	if res.Stats.HybridSwitched && kinds[PhaseBellmanFord] == 0 {
 		t.Errorf("hybrid run recorded no Bellman-Ford phases: %v", kinds)
@@ -71,6 +75,7 @@ func TestPhaseKindString(t *testing.T) {
 		PhaseLongPush:    "long-push",
 		PhaseLongPull:    "long-pull",
 		PhaseBellmanFord: "bellman-ford",
+		PhaseLocal:       "local",
 	}
 	for k, s := range want {
 		if k.String() != s {

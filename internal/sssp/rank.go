@@ -34,6 +34,8 @@ type queryState struct {
 	nextActive []uint32
 	mark       []int64 // stamp array deduplicating nextActive
 	stamp      int64
+	lq         subQueue // a round's locally activated vertices (drainLocal)
+	carry      []uint32 // what drainLocal left queued, carried to the next round
 
 	// Per-thread emission staging and counters; index [thread]. Scans
 	// append typed records per destination rank; exchangeRecords encodes
@@ -146,6 +148,7 @@ func newQueryState(plane *rankGraph, t comm.Transport) (*queryState, error) {
 	for i := range r.mark {
 		r.mark[i] = -1
 	}
+	r.lq = newSubQueue(r.nLocal)
 	r.store = newBucketStore()
 	T := r.opts.threads()
 	r.stage = make([]threadStage, T)
@@ -226,6 +229,12 @@ func (r *queryState) allreduce(vals []int64, op comm.ReduceOp, bucketOverhead bo
 func (r *queryState) exchangeRecords(kind recKind, h0, h1 int64) ([][]byte, error) {
 	start := now()
 	defer r.charge(start, false)
+	return r.exchange(kind, h0, h1)
+}
+
+// exchange is exchangeRecords without the clock: relaxRounds times a
+// whole round from its boundary stamps instead.
+func (r *queryState) exchange(kind recKind, h0, h1 int64) ([][]byte, error) {
 	r.encodeOut(kind, h0, h1)
 	in, err := r.t.Exchange(r.out)
 	if err != nil {
@@ -305,12 +314,20 @@ func (r *queryState) encodeOut(kind recKind, h0, h1 int64) {
 }
 
 func (r *queryState) charge(start time.Time, bucketOverhead bool) {
-	d := since(start)
+	r.lap(start, bucketOverhead)
+}
+
+// lap charges the time since start like charge and returns the reading
+// it took, so that the next section can start from it without a clock
+// read of its own.
+func (r *queryState) lap(start time.Time, bucketOverhead bool) time.Time {
+	t := now()
 	if bucketOverhead {
-		r.bktTime += d
+		r.bktTime += t.Sub(start)
 	} else {
-		r.otherTime += d
+		r.otherTime += t.Sub(start)
 	}
+	return t
 }
 
 // ---- parallel scans --------------------------------------------------------
@@ -362,8 +379,15 @@ func (r *queryState) buildItems(verts []uint32) []workItem {
 func (r *queryState) runWorkers(items []workItem, fn func(tid int, it workItem)) {
 	start := now()
 	defer r.charge(start, false)
-	T := r.opts.threads()
 	r.clearStage()
+	r.dispatch(items, fn)
+}
+
+// dispatch is runWorkers without the clock and without emptying the
+// staging lists: relaxRounds accumulates the records bound for other
+// ranks over a round's local sub-rounds.
+func (r *queryState) dispatch(items []workItem, fn func(tid int, it workItem)) {
+	T := r.opts.threads()
 	if T == 1 || len(items) == 0 {
 		for _, it := range items {
 			fn(0, it)
@@ -433,6 +457,14 @@ func (r *queryState) clearStage() {
 	}
 }
 
+// clearOwn empties every thread's relax list for this rank, once a
+// local sub-round has applied it.
+func (r *queryState) clearOwn() {
+	for tid := range r.stage {
+		r.stage[tid].relax[r.rank] = r.stage[tid].relax[r.rank][:0]
+	}
+}
+
 // stagedRelax returns the number of relax records staged for dest, or
 // for every rank when dest < 0.
 func (r *queryState) stagedRelax(dest int) int {
@@ -486,7 +518,9 @@ func (r *queryState) run() error {
 	k := int64(0)
 	n := int64(r.g.NumVertices())
 
-	r.tracef("sssp: start source=%d ranks=%d delta=%d", r.src, r.size, r.opts.Delta)
+	if r.tracing() { // guarded: boxing the arguments allocates per query
+		r.tracef("sssp: start source=%d ranks=%d delta=%d", r.src, r.size, r.opts.Delta)
+	}
 	for k < infBucket {
 		if r.opts.MaxEpochs > 0 && int(r.stats.Epochs) >= r.opts.MaxEpochs {
 			return fmt.Errorf("sssp: exceeded MaxEpochs=%d at bucket %d", r.opts.MaxEpochs, k)
@@ -505,7 +539,9 @@ func (r *queryState) run() error {
 
 		if r.opts.Hybrid && float64(r.settledTotal) >= r.opts.tau()*float64(n) {
 			r.stats.HybridSwitched = true
-			r.tracef("hybrid switch after bucket %d: settled %d/%d", k, r.settledTotal, n)
+			if r.tracing() {
+				r.tracef("hybrid switch after bucket %d: settled %d/%d", k, r.settledTotal, n)
+			}
 			if err := r.runBellmanFord(k); err != nil {
 				return err
 			}
@@ -525,9 +561,11 @@ func (r *queryState) run() error {
 	}
 
 	r.finishStats(totalStart)
-	r.tracef("done epochs=%d phases=%d bfPhases=%d reached=%d relax=%d",
-		r.stats.Epochs, r.stats.Phases, r.stats.BFPhases, r.stats.Reached,
-		r.stats.Relax.Total())
+	if r.tracing() {
+		r.tracef("done epochs=%d phases=%d bfPhases=%d reached=%d relax=%d",
+			r.stats.Epochs, r.stats.Phases, r.stats.BFPhases, r.stats.Reached,
+			r.stats.Relax.Total())
+	}
 	return nil
 }
 
@@ -612,28 +650,47 @@ type roundSpec struct {
 	log      bool                       // rounds are timeline phases of kind/key
 	kind     PhaseKind
 	key      int64
-	// onRound, if set, sees each round's local active list before it is
-	// scanned (the repair tracks what moved).
+	// onRound, if set, sees every list of local vertices before it is
+	// scanned — a round's active set and each local sub-round's members
+	// (the repair tracks what moved).
 	onRound func(active []uint32)
 }
 
-// relaxRounds runs scan → stage → Exchange → apply rounds over r.active
-// until the machine is quiescent and returns the number of rounds that
-// had a globally non-empty active set — exactly the rounds the old
-// per-round active-count Allreduce would have admitted.
+// relaxRounds runs rounds over r.active until the machine is quiescent
+// and returns the number of rounds that had a globally non-empty active
+// set. Each round is a rank-local fixpoint followed by one exchange:
+//
+//  1. scan r.active (what the last exchange activated, and what the
+//     last round's drain left queued);
+//  2. apply the records this rank staged for itself and re-scan the
+//     local vertices they activate, lowest distance sub-bucket first
+//     (drainLocal), until nothing local activates;
+//  3. exchange the records staged for other ranks — accumulated over
+//     the whole round — and apply what arrives, which activates the
+//     next round's set.
 //
 // Termination rides the exchange: each rank's header carries its active
-// count and the number of records it emitted this round (own-rank ones
-// included), so after the exchange every rank knows both machine-wide
-// sums. No active vertex anywhere means the previous round already was
-// the fixpoint and this one moved nothing: stop, uncounted. No emitted
-// record means nothing can be activated: stop after this (counted)
-// round without paying for an empty one. Records are applied only after
-// every rank's scan (Jacobi order), so which rounds exist, what each
-// scans and every relaxation counter are the same as under the
-// Allreduce schedule.
+// count and its emitted count — the records it sent to other ranks plus
+// the vertices its drain left queued — so after the exchange every rank
+// knows both machine-wide sums. No active vertex anywhere means the
+// previous round already was the fixpoint and this one moved nothing:
+// stop, uncounted. Nothing emitted means nothing can be activated: every
+// rank is at its local fixpoint, so stop after this (counted) round
+// without paying for an empty one.
+//
+// Distances are the fixpoint's, whatever the order. Parents are too on
+// positive weights: every vertex is scanned at its final distance
+// exactly once (it is re-activated only by strict improvements), so the
+// offers that tie a final distance — the candidates of applyRelaxIn's
+// min-id election — are the same set under any schedule, and a stale
+// offer never ties (it exceeds the final one).
+//
+// A round reads the clock three times whatever its number of local
+// sub-rounds: at its start, after the exchange and after the apply; the
+// time between is charged from those stamps.
 func (r *queryState) relaxRounds(sp roundSpec) (int64, error) {
-	var rounds int64
+	var rounds, sentBefore int64
+	entry := r.relaxTotals()
 	for {
 		start := now()
 		before := r.relaxTotals()
@@ -641,34 +698,119 @@ func (r *queryState) relaxRounds(sp roundSpec) (int64, error) {
 		if sp.onRound != nil {
 			sp.onRound(r.active)
 		}
-		r.runWorkers(r.buildItems(r.active), sp.scan)
-		in, err := r.exchangeRecords(relaxKind, int64(nActive), int64(r.stagedRelax(-1)))
+		r.clearStage()
+		r.dispatch(r.buildItems(r.active), sp.scan)
+		scanned := r.relaxTotals()
+		subRounds, subActive, err := r.drainLocal(sp, entry, sentBefore)
+		if err != nil {
+			return rounds, err
+		}
+		sent := int64(r.stagedRelax(-1)) // the rank's own lists are drained
+		sentBefore += sent
+		r.carry = r.lq.take(r.carry[:0]) // a drain cut short leaves these
+		in, err := r.exchange(relaxKind, int64(nActive), sent+int64(len(r.carry)))
+		mid := r.lap(start, false)
 		if err != nil {
 			return rounds, err
 		}
 		active, emitted := r.hdrSum[0], r.hdrSum[1]
 		// What the headers announce must cover what arrived: a damaged
 		// header that still parses must not end the loop early.
-		got := int64(totalWireRecords(in, relaxKind, r.opts.WireFormat) + r.stagedRelax(r.rank))
+		got := int64(totalWireRecords(in, relaxKind, r.opts.WireFormat))
 		if got > emitted || (active == 0 && emitted != 0) {
 			return rounds, fmt.Errorf("sssp: rank %d: corrupt round headers: %d active, %d records announced, %d arrived",
 				r.rank, active, emitted, got)
 		}
-		if err := r.applyRelaxIn(in, sp.activate, nil); err != nil {
+		err = r.applyRecords(in, sp.activate, nil)
+		for _, li := range r.carry {
+			if r.mark[li] != r.stamp {
+				r.mark[li] = r.stamp
+				r.nextActive = append(r.nextActive, li)
+			}
+		}
+		end := r.lap(mid, false)
+		if err != nil {
 			return rounds, err
 		}
 		if active == 0 {
 			return rounds, nil
 		}
 		rounds++
-		if sp.log {
-			r.logPhase(sp.key, sp.kind, nActive, before, start)
+		r.stats.LocalRounds += subRounds
+		if sp.log && r.opts.RecordPhases {
+			after := r.relaxTotals()
+			r.stats.PhaseLog = append(r.stats.PhaseLog, PhaseRecord{
+				Bucket: sp.key, Kind: sp.kind, Active: int64(nActive),
+				Relax: scanned.Total() - before.Total(), Sent: sent, Duration: end.Sub(start),
+			}, PhaseRecord{
+				Bucket: sp.key, Kind: PhaseLocal, Active: subActive,
+				Relax: after.Total() - scanned.Total(),
+			})
 		}
 		r.active, r.nextActive = r.nextActive, r.active[:0]
 		if emitted == 0 {
 			return rounds, nil
 		}
 	}
+}
+
+// drainCut is the share of its relaxations, as a power of two, that a
+// fixpoint may send to other ranks and still be drained locally:
+// 1/2^drainCut.
+const drainCut = 4
+
+// drainLocal is step 2 of a relaxRounds round: it applies the records
+// this rank staged for itself, queues the local vertices they activate
+// by distance sub-bucket (subQueue), and scans the lowest sub-bucket as
+// one Jacobi sub-round over the thread pool, until no local vertex is
+// active. Records for other ranks stay staged. It returns the number of
+// sub-rounds and the vertices they scanned.
+//
+// The drain pays where few of a rank's relaxations cross ranks (a
+// low-cut partition, such as a grid's blocks): the peers lose nothing
+// by waiting for it. Where many do (R-MAT's random cut), a drain makes
+// the peers idle while this rank works through what they could have
+// started on, and the ranks end up taking turns. So the drain stops
+// once more than 1/2^drainCut of the relaxations the fixpoint has
+// staged since entry (over all its rounds, sentBefore being the records
+// earlier rounds sent) were bound for other ranks, and leaves the queue
+// to the next round, which is then an ordinary bulk-synchronous one.
+// Only counts decide, so every run makes the same choice.
+func (r *queryState) drainLocal(sp roundSpec, entry RelaxCounts, sentBefore int64) (subRounds, scanned int64, err error) {
+	q := &r.lq
+	width := r.subWidth()
+	for {
+		if err := r.applyRecords(nil, sp.activate, nil); err != nil {
+			return subRounds, scanned, err
+		}
+		r.clearOwn()
+		q.fill(r.nextActive, r.dist, width)
+		r.nextActive = r.nextActive[:0]
+		if sent := sentBefore + int64(r.stagedRelax(-1)); sent<<drainCut > r.relaxTotals().Total()-entry.Total() {
+			return subRounds, scanned, nil
+		}
+		members := q.next()
+		if len(members) == 0 {
+			return subRounds, scanned, nil
+		}
+		if sp.onRound != nil {
+			sp.onRound(members)
+		}
+		r.dispatch(r.buildItems(members), sp.scan)
+		subRounds++
+		scanned += int64(len(members))
+	}
+}
+
+// subWidth is the distance width of a local sub-bucket: a sixteenth of
+// the heaviest edge, so that one scan's activations span about sixteen
+// sub-buckets and a vertex is rarely scanned before its distance is
+// final.
+func (r *queryState) subWidth() graph.Dist {
+	if w := graph.Dist(r.maxW) / 16; w > 1 {
+		return w
+	}
+	return 1
 }
 
 // shortScan lazily builds the short-phase scan: the (inner) short edges

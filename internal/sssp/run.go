@@ -200,6 +200,9 @@ func mergeStats(ranks []*RankResult) Stats {
 		if t := s.Relax.Total(); t > out.MaxRankRelax {
 			out.MaxRankRelax = t
 		}
+		if s.LocalRounds > out.LocalRounds {
+			out.LocalRounds = s.LocalRounds
+		}
 		if s.AsyncRounds > out.AsyncRounds {
 			out.AsyncRounds = s.AsyncRounds
 		}

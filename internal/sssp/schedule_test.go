@@ -22,11 +22,12 @@ import (
 //	Allreduces = decisions                      one per epoch under Prune
 //	           + Epochs − [hybrid switched]     the next-bucket Min
 //
-// S_e is the epoch's short-phase count and x_e is 1 when its last short
-// phase emitted a record anywhere (the loop then needs one empty round
-// to see the fixpoint), else 0; likewise x_BF for the B Bellman-Ford
-// rounds, whose stage costs one empty round when B = 0. A phase's
-// PhaseLog.Relax is exactly the records it emitted.
+// S_e is the epoch's short-phase count (rounds, not local sub-rounds)
+// and x_e is 1 when its last short round sent a record to another rank
+// anywhere (the loop then needs one empty round to see the fixpoint),
+// else 0; likewise x_BF for the B Bellman-Ford rounds, whose stage costs
+// one empty round when B = 0. A round's PhaseLog.Sent is exactly the
+// records it sent.
 func scheduleFromStats(st *Stats, o Options) (exchanges, allreduces int64) {
 	longPhase := o.EdgeClassification && o.Delta != BellmanFordDelta
 	// Index the timeline: the last short phase's emission per epoch, and
@@ -36,9 +37,9 @@ func scheduleFromStats(st *Stats, o Options) (exchanges, allreduces int64) {
 	for _, p := range st.PhaseLog {
 		switch p.Kind {
 		case PhaseShort:
-			lastShort[p.Bucket] = p.Relax
+			lastShort[p.Bucket] = p.Sent
 		case PhaseBellmanFord:
-			lastBF = p.Relax
+			lastBF = p.Sent
 		}
 	}
 	for _, b := range st.Buckets {

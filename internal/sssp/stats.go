@@ -103,6 +103,11 @@ type Stats struct {
 	HybridSwitched bool
 	// BFPhases is the number of Bellman-Ford rounds after the switch.
 	BFPhases int64
+	// LocalRounds is the largest per-rank count of local sub-rounds: the
+	// scans a rank ran between two exchanges of a short, Bellman-Ford or
+	// Radius round on vertices its own records activated. They are not
+	// collectives and not counted in Phases; the merge takes the max.
+	LocalRounds int64
 	// Reached is the number of vertices with finite distance.
 	Reached int64
 	// BktTime is the paper's bucket-processing overhead: identifying

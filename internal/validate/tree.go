@@ -73,20 +73,27 @@ func CheckTree(g *graph.Graph, src graph.Vertex, dist []graph.Dist, parent []gra
 				p, v, want, v)
 		}
 	}
-	// Check 4: acyclic parent structure. Distances strictly decrease
-	// along parent chains except across zero-weight edges, so walk with a
-	// step cap.
+	// Check 4: acyclic parent structure. By check 3 a parent is never
+	// farther than its child, and strictly closer across a positive-weight
+	// tree edge, so a cycle can only run through zero-weight tree edges
+	// (equal distances). Walk parent chains only along those; a walk stops
+	// at a vertex an earlier walk cleared, so each vertex is walked once.
+	cleared := make([]bool, n)
 	for v := 0; v < n; v++ {
-		if dist[v] >= graph.Inf {
+		if dist[v] >= graph.Inf || cleared[v] {
 			continue
 		}
 		cur := graph.Vertex(v)
-		for steps := 0; cur != src; steps++ {
+		for steps := 0; cur != src && !cleared[cur] && dist[parent[cur]] == dist[cur]; steps++ {
 			if steps > n {
 				return fmt.Errorf("validate: parent chain of %d does not reach the source", v)
 			}
 			cur = parent[cur]
 		}
+		for w := graph.Vertex(v); w != cur; w = parent[w] {
+			cleared[w] = true
+		}
+		cleared[cur] = true
 	}
 	// Check 5: every edge is relaxed.
 	for v := 0; v < n; v++ {

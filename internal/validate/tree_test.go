@@ -146,6 +146,31 @@ func TestCheckTreeTruncatedInput(t *testing.T) {
 	}
 }
 
+// TestCheckTreeRejectsZeroWeightCycle: two equal-distance vertices
+// joined by a zero-weight edge that name each other as parent pass the
+// tree-edge check (each parent edge exists with weight 0 = the distance
+// difference) and relaxation; the cycle check must catch them.
+func TestCheckTreeRejectsZeroWeightCycle(t *testing.T) {
+	g, err := graph.FromEdges(4, []graph.Edge{
+		{U: 0, V: 1, W: 3}, {U: 1, V: 2, W: 0}, {U: 2, V: 3, W: 0}, {U: 3, V: 1, W: 0},
+	}, graph.BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dist := []graph.Dist{0, 3, 3, 3}
+	if err := CheckTree(g, 0, dist, []graph.Vertex{0, 0, 1, 2}); err != nil {
+		t.Fatalf("valid zero-weight chain rejected: %v", err)
+	}
+	for _, parent := range [][]graph.Vertex{
+		{0, 0, 3, 2}, // 2 ↔ 3
+		{0, 3, 1, 2}, // 1 → 3 → 2 → 1
+	} {
+		if err := CheckTree(g, 0, dist, parent); err == nil {
+			t.Errorf("zero-weight parent cycle %v accepted", parent)
+		}
+	}
+}
+
 func TestCheckTreeZeroWeightEdges(t *testing.T) {
 	g, err := graph.FromEdges(4, []graph.Edge{
 		{U: 0, V: 1, W: 0}, {U: 1, V: 2, W: 0}, {U: 2, V: 3, W: 5},
